@@ -8,7 +8,7 @@ results for rapid repeated requests (§3.1.2).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 __all__ = ["TokenInfo", "TokenBundle", "DEFAULT_TOKEN_LIFETIME_S"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .gpu import GPUSpec
 from .node import Node, NodeSpec
 
 __all__ = ["Interconnect", "ClusterStatus", "Cluster"]

@@ -10,7 +10,7 @@ H100 and AMD MI250 GPUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["GPUSpec", "GPU", "A100_40GB", "A100_80GB", "H100_80GB", "MI250_64GB"]

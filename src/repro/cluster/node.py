@@ -6,7 +6,7 @@ endpoint managers hold while a model instance is "hot".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .gpu import GPU, GPUSpec, A100_40GB

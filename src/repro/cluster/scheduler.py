@@ -10,7 +10,7 @@ agnostic, exactly as in FIRST.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..common import IdGenerator, NotFoundError

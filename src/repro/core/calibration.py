@@ -10,7 +10,6 @@ numbers.  EXPERIMENTS.md records paper-vs-measured values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
 from ..faas import ComputeClientConfig, RelayConfig

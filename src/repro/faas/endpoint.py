@@ -30,7 +30,7 @@ from ..autoscale import (
     ReplicaPool,
     make_policy,
 )
-from ..cluster import JobRequest, JobState, SchedulerBase
+from ..cluster import JobRequest, SchedulerBase
 from ..common import ConfigurationError, IdGenerator, NotFoundError, sim_logger
 from ..obs.trace import TRACE_KEY
 from ..serving import (

@@ -9,8 +9,8 @@ embedding, offline batch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from ..common import AuthorizationError, NotFoundError
 

@@ -26,10 +26,10 @@ by candidate order, keeping selection deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..common import AuthorizationError, IdGenerator, NotFoundError, sim_logger
+from ..common import AuthorizationError, CapacityError, IdGenerator, NotFoundError, sim_logger
 from ..obs.trace import TRACE_KEY
 from ..sim import Environment, Resource
 from .functions import FunctionRegistry
@@ -60,6 +60,14 @@ class RelayConfig:
 
 @dataclass
 class RelayStats:
+    """Lifetime task counters of one relay.
+
+    ``submitted == completed + failed + queued`` holds at all times, where
+    ``queued`` is :attr:`RelayService.queued_tasks`: a record is counted as
+    submitted when it is created and as completed or failed at its single
+    terminal transition.  ``rejected`` submissions never create a record.
+    """
+
     submitted: int = 0
     completed: int = 0
     failed: int = 0
@@ -235,8 +243,14 @@ class RelayService:
     # -- task submission --------------------------------------------------------------
     @property
     def queued_tasks(self) -> int:
-        """Tasks accepted by the cloud service that have not yet completed."""
-        return sum(1 for t in self._tasks.values() if not t.status.terminal)
+        """Tasks accepted by the cloud service that have not yet completed.
+
+        Derived from the counters, O(1) per call: the identity
+        ``stats.submitted == stats.completed + stats.failed + queued_tasks``
+        holds at all times (see :class:`RelayStats`).
+        """
+        stats = self.stats
+        return stats.submitted - stats.completed - stats.failed
 
     def select_endpoint(
         self,
@@ -310,7 +324,7 @@ class RelayService:
             self._log.warning("relay rejected submission: task queue full",
                               queued=self.queued_tasks,
                               limit=self.config.max_queued_tasks)
-            raise RuntimeError("Relay task queue is full")
+            raise CapacityError("Relay task queue is full")
 
         record = TaskRecord(
             task_id=self._ids.next("task"),

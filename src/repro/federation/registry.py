@@ -12,7 +12,7 @@ endpoints are listed in the configuration registry".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..cluster import FacilityStatusProvider
 from ..common import NotFoundError

@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..sim import Environment, Event, Resource
 from .engine import ContinuousBatchingEngine
-from .request import InferenceRequest, InferenceResult
+from .request import InferenceRequest
 
 __all__ = ["APIServerConfig", "APIServerStats", "APIServer"]
 
@@ -95,7 +95,6 @@ class APIServer:
         return result
 
     def _handle(self, request: InferenceRequest, done: Event):
-        cfg = self.config
         self._open_connections += 1
         self.stats.peak_open_connections = max(
             self.stats.peak_open_connections, self._open_connections

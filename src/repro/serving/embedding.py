@@ -28,7 +28,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 from ..sim import Environment, Event
 from .models import ModelSpec
-from .request import InferenceRequest, InferenceResult, RequestKind
+from .request import InferenceRequest, InferenceResult
 
 __all__ = ["hash_embedding", "EmbeddingEngineConfig", "EmbeddingEngine"]
 

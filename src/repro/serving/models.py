@@ -12,7 +12,7 @@ token, default tensor parallelism, and context length.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["ModelKind", "ModelSpec", "ModelCatalog", "default_catalog"]

@@ -15,8 +15,7 @@ Poisson processes sampled by thinning, seeded for reproducibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..common import RandomSource
 

@@ -10,10 +10,9 @@ all satisfy this protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-from ..metrics import BenchmarkSummary, MetricsCollector, RequestRecord, summarize
+from ..metrics import MetricsCollector, RequestRecord, summarize
 from ..serving import InferenceRequest
 from ..sim import Environment
 from .arrivals import ArrivalProcess, InfiniteArrival

@@ -20,7 +20,7 @@ from repro.rag import (
     chunk_document,
     hpc_documentation_corpus,
 )
-from repro.serving import InferenceRequest, default_catalog, hash_embedding
+from repro.serving import InferenceRequest, default_catalog
 from repro.sim import Environment
 from repro.webui import SessionStore, WebUIConcurrencyBenchmark, WebUIServer
 from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload

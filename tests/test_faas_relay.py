@@ -1,11 +1,15 @@
 """Tests for the FaaS function registry, task records and cloud relay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common import AuthorizationError, NotFoundError
+from repro.common import AuthorizationError, CapacityError, NotFoundError
+from repro.core import FIRSTDeployment
 from repro.faas import (
     HANDLER_CHAT,
     FunctionRegistry,
+    RelayBoundaryProxy,
     RelayConfig,
     RelayService,
     TaskRecord,
@@ -169,7 +173,8 @@ def test_relay_queue_depth_supports_thousands_of_tasks():
     """Optimization 3: >8000 tasks can sit queued at the relay."""
     env = Environment()
     relay, endpoint = make_relay(env, delay=500.0)
-    futures = [relay.submit("fn-chat", "ep-fake", {"x": i}) for i in range(8500)]
+    for i in range(8500):
+        relay.submit("fn-chat", "ep-fake", {"x": i})
     env.run(until=10.0)
     assert relay.queued_tasks >= 8000
     assert relay.stats.peak_queued >= 8000
@@ -293,3 +298,107 @@ def test_task_record_timing_properties():
     assert record.queue_time_s == 2.0
     assert record.total_time_s == 9.0
     assert record.to_dict()["status"] == "pending"
+
+
+# -- open-task accounting ---------------------------------------------------------
+
+def open_task_scan(relay):
+    """The definition ``queued_tasks`` is derived from: non-terminal records."""
+    return sum(1 for t in relay._tasks.values() if not t.status.terminal)
+
+
+def complete_boundary_tasks(env, proxy, delay):
+    """Stand in for the remote partition: resolve every shipped task
+    ``delay`` after its arrival stamp, alternating success and failure."""
+
+    def finish(message):
+        yield env.timeout_at(max(env.now, message["arrival_time"] + delay))
+        success = message["seq"] % 2 == 0
+        outcome = ({"success": True, "result": {"remote": message["seq"]}} if success
+                   else {"success": False, "error": "remote boom"})
+        proxy.complete(message["task_id"], outcome)
+
+    while True:
+        yield env.timeout(0.5)
+        for message in proxy.drain_outbox():
+            env.process(finish(message))
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=3.0),
+              st.sampled_from(["ep-ok", "ep-bad", "ep-remote"])),
+    max_size=40))
+def test_queued_tasks_counter_equals_record_scan(schedule):
+    """Both terminal paths (local endpoint and partition boundary), with
+    successes and failures: the counter-derived open-task count equals the
+    explicit scan after every step, peaks where the scan peaks and returns
+    to zero at quiescence."""
+    # A fixed head covers every (path, outcome) pair in every example; the
+    # two remote tasks get boundary seq 0 (succeeds) and 1 (fails).
+    schedule = [(0.0, "ep-ok"), (0.0, "ep-bad"), (0.0, "ep-remote"),
+                (0.0, "ep-remote")] + schedule
+    env = Environment()
+    proxy = RelayBoundaryProxy(env, "ep-remote", "remote", ["m"])
+    relay = make_multi_relay(env, [
+        FakeEndpoint(env, endpoint_id="ep-ok", delay=2.0),
+        FakeEndpoint(env, endpoint_id="ep-bad", delay=1.5, succeed=False),
+        proxy,
+    ])
+    env.process(complete_boundary_tasks(env, proxy, delay=1.0))
+    scans_after_submit = []
+
+    def submitter(env):
+        for gap, endpoint_id in schedule:
+            if gap > 0:
+                yield env.timeout(gap)
+            relay.submit("fn-chat", endpoint_id, {"x": len(scans_after_submit)})
+            scans_after_submit.append(open_task_scan(relay))
+
+    env.process(submitter(env))
+    horizon = sum(gap for gap, _ in schedule) + 20.0
+    t = 0.0
+    while t < horizon:
+        t += 0.25
+        env.run(until=t)
+        assert relay.queued_tasks == open_task_scan(relay)
+    stats = relay.stats
+    assert relay.queued_tasks == 0
+    assert stats.submitted == len(schedule) == stats.completed + stats.failed
+    assert stats.peak_queued == max(scans_after_submit)
+    assert proxy.open_tasks == 0
+
+
+def test_full_relay_rejects_with_capacity_error_and_leaks_nothing():
+    env = Environment()
+    limit = 3
+    relay = RelayService(env, RelayConfig(max_queued_tasks=limit))
+    relay.functions.register("fn-chat", "chat", HANDLER_CHAT, owner="admins")
+    relay.register_endpoint(FakeEndpoint(env, delay=5.0))
+    futures = [relay.submit("fn-chat", "ep-fake", {"x": i}) for i in range(limit)]
+    assert relay.queued_tasks == limit
+
+    with pytest.raises(CapacityError):
+        relay.submit("fn-chat", "ep-fake", {"x": limit})
+    assert relay.stats.rejected == 1
+    assert relay.stats.submitted == limit
+    assert len(relay._tasks) == len(relay._futures) == limit
+    assert relay._open_dispatches == {"ep-fake": limit}
+
+    env.run(until=futures[0].done)
+    assert relay.queued_tasks == limit - 1
+    future = relay.submit("fn-chat", "ep-fake", {"x": limit})
+    env.run(until=future.done)
+    assert relay.get_result(future.task_id) == {"echo": limit}
+    assert relay.stats.rejected == 1
+
+
+def test_full_relay_surfaces_as_overloaded_envelope():
+    deployment = FIRSTDeployment.quickstart()
+    deployment.relay.config.max_queued_tasks = 0
+    client = deployment.client("researcher@anl.gov", raise_on_error=False)
+    response = client.chat_completion("Qwen/Qwen2.5-7B-Instruct",
+                                      [{"role": "user", "content": "hi"}], max_tokens=4)
+    assert response["error"]["type"] == "overloaded_error"
+    assert response["error"]["status"] == 503
+    assert deployment.relay.stats.rejected == 1

@@ -10,7 +10,6 @@ from repro.core import (
     ModelDeploymentSpec,
 )
 from repro.gateway import GatewayConfig, GatewayMetrics, ResponseCache, ServerMode
-from repro.serving import InferenceRequest
 from repro.sim import Environment
 
 MODEL_7B = "Qwen/Qwen2.5-7B-Instruct"

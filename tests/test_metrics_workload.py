@@ -17,7 +17,6 @@ from repro.workload import (
     make_arrival,
     parse_batch_lines,
     read_batch_file,
-    requests_to_jsonl,
     write_batch_file,
 )
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Gauge, Histogram, MetricsRegistry
 
 
 # -- metric types ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.serving import (
     ContinuousBatchingEngine,
     EngineConfig,
     InferenceRequest,
-    PerfModelConfig,
     PerformanceModel,
     default_catalog,
 )
@@ -122,7 +121,6 @@ def test_kv_exhaustion_triggers_preemption_or_queueing():
     """With a tiny KV cache, the engine must queue/preempt rather than crash."""
     env = Environment()
     spec = CATALOG.get("Llama-3.3-70B")
-    perf = PerformanceModel(spec, 8, A100_40GB, node_spec=dgx_a100_spec())
 
     class TinyKVPerf(PerformanceModel):
         def kv_capacity_tokens(self, vram_utilization=0.9):
