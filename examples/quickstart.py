@@ -238,25 +238,7 @@ def main() -> None:
     print(f"kernel profile: {kernel['events_total']} events, "
           f"{kernel['events_per_wall_s']:.0f} events/wall-s")
 
-    # 14. Sharding one federated deployment across processes.  The parallel
-    #    plane splits a gateway + N compute clusters into per-cluster event
-    #    kernels that advance in conservative synchronous windows (lookahead
-    #    = relay wire latency) and exchange only boundary messages.  Results
-    #    are bit-identical to the serial run for any worker count — the
-    #    fingerprint proves it.  On a single-CPU box this costs more than it
-    #    saves (worker spawn + one sync round-trip per window); reach for it
-    #    when one simulated cluster saturates a core and you have spare ones.
-    from repro.parallel import FederatedScenario, PartitionedDeployment
-
-    scenario = FederatedScenario.demo(clusters=2, num_requests=20)
-    result = PartitionedDeployment(scenario, workers=2).run()
-    print(f"\nPartitioned federation: {len(result.records)} requests across "
-          f"{scenario.clusters[0].name}+{scenario.clusters[1].name}, "
-          f"{result.stats.windows} windows, "
-          f"fingerprint {result.fingerprint[:16]} "
-          f"(identical at any worker count)")
-
-    # 15. Guarding determinism.  Everything above is bit-identical across
+    # 14. Guarding determinism.  Everything above is bit-identical across
     #    queue backends, worker counts and PYTHONHASHSEED values — and two
     #    guard layers keep it that way as the code grows:
     #
@@ -296,9 +278,9 @@ def main() -> None:
         print(f"DetSan caught: {exc}")
     env.sanitizer.detach()          # restores the plain class-level step
     #    The third guard runs in CI only: `python -m repro.analysis.detsan`
-    #    reruns a partitioned federation under PYTHONHASHSEED=101 and =202
-    #    in separate interpreters and fails unless the merged fingerprints
-    #    are bit-identical.
+    #    reruns a two-cluster federated deployment (Sophia + Polaris,
+    #    least-loaded routing) under PYTHONHASHSEED=101 and =202 in separate
+    #    interpreters and fails unless the fingerprints are bit-identical.
 
 
 if __name__ == "__main__":

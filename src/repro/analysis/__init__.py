@@ -2,7 +2,7 @@
 
 The whole repository stakes correctness on one invariant — simulated-time
 results are bit-identical across macro-stepping, queue backends, sweep
-worker counts and partitioned federated runs.  This package enforces the
+worker counts and ``PYTHONHASHSEED`` values.  This package enforces the
 *sources* of that invariant:
 
 * **detlint** (:mod:`repro.analysis.engine` / :mod:`repro.analysis.rules`)
@@ -10,8 +10,8 @@ worker counts and partitioned federated runs.  This package enforces the
   no wall-clock reads on the sim path (DET001), all randomness through
   :class:`repro.common.RandomSource` (DET002), no ``PYTHONHASHSEED``-
   dependent ``hash()`` keying (DET003), no unordered-set iteration or
-  float accumulation on the sim path (DET004), pickle-safe sweep /
-  boundary payloads (DET005), observe-only ``obs/`` (ARCH001) and
+  float accumulation on the sim path (DET004), pickle-safe sweep
+  payloads (DET005), observe-only ``obs/`` (ARCH001) and
   middleware-only gateway changes (ARCH002).  Run it with::
 
       python -m repro.analysis src/ benchmarks/ examples/

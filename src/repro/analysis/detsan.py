@@ -10,8 +10,7 @@ plain kernel never pays a branch — and checks three invariants:
   clock never moves backwards across a step (a queue-backend ordering bug
   would surface here before it corrupts a fingerprint);
 * **unique event keys** — ``(time, priority, eid)`` must be unique; a
-  duplicate (e.g. a bad ``import_pending`` merge) makes pop order
-  backend-dependent;
+  duplicate makes pop order backend-dependent;
 * **observe-only layers stay observe-only** — a
   :class:`~repro.common.RandomSource` draw issued from ``repro/obs/``
   perturbs the sim's RNG streams, so results would differ with
@@ -27,7 +26,7 @@ bit-identical to plain runs.
 reruns a scenario under two pinned ``PYTHONHASHSEED`` values and diffs the
 merged fingerprints — the end-to-end proof that no ``hash()``-keyed
 ordering leaks into results (the ``hashseed-determinism`` CI job drives it
-against a partitioned 2-worker federation).
+against a two-cluster federated deployment).
 """
 
 from __future__ import annotations
@@ -45,7 +44,9 @@ __all__ = [
     "DetSanError",
     "HashseedReport",
     "compare_hashseeds",
-    "partitioned_fingerprint",
+    "federated_deployment",
+    "federated_fingerprint",
+    "federated_run",
     "quickstart_fingerprint",
 ]
 
@@ -196,8 +197,7 @@ class DetSan:
         env = self._env
         if env is None:
             return
-        # Restore the push binding from the live queue (the queue may have
-        # been swapped by import_pending since attach).
+        # Restore the queue's own push binding.
         env._push = env._pending.push
         if self._had_instance_step:
             env.__dict__["step"] = self._prev_instance_step
@@ -313,18 +313,57 @@ def quickstart_fingerprint() -> str:
     return spec.run()["mergeable"].fingerprint()
 
 
-def partitioned_fingerprint() -> str:
-    """Fingerprint of a small partitioned 2-worker federated scenario.
+def federated_deployment():
+    """Two-cluster FIRST deployment (``federated_config``: Sophia + Polaris,
+    the §4.5 federation) with one warm instance per cluster.
 
-    This is the ``hashseed-determinism`` CI target: two clusters sharded
-    across two spawn workers, so the merged fingerprint covers boundary
-    serialization, window planning and cross-partition merge order — the
-    surfaces where hash-ordering bugs would hide.
+    The stock :class:`~repro.placement.PriorityRouter` sends every request
+    to the first warm cluster, so the gateway routes least-loaded with the
+    routing cache off: traffic then splits across both clusters and the
+    cross-cluster placement path is exercised.
     """
-    from ..parallel import FederatedScenario, PartitionedDeployment
+    from ..core import FIRSTDeployment, federated_config
+    from ..placement import LeastLoadedRouter
 
-    scenario = FederatedScenario.demo(clusters=2, num_requests=12)
-    return PartitionedDeployment(scenario, workers=2).run().fingerprint
+    deployment = FIRSTDeployment(federated_config())
+    deployment.gateway.router = LeastLoadedRouter(deployment.topology)
+    deployment.gateway.config.routing_cache_ttl_s = 0.0
+    model = deployment.config.clusters[0].models[0].model
+    for endpoint_id in ("ep-sophia", "ep-polaris"):
+        deployment.warm_up(model, endpoint_id=endpoint_id)
+    return deployment
+
+
+def federated_run():
+    """48 Poisson ShareGPT chats at 4 req/s through :func:`federated_deployment`.
+
+    The returned :class:`~repro.metrics.MergeableSummary` carries each
+    endpoint's executed-task count as a ``tasks.<endpoint id>`` counter, so
+    its fingerprint covers the routing split as well as the request metrics.
+    """
+    from ..metrics import MergeableSummary
+    from ..workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
+
+    deployment = federated_deployment()
+    model = deployment.config.clusters[0].models[0].model
+    user = deployment.config.users[0]
+    client = deployment.client(user)
+    requests = ShareGPTWorkload().generate(model, num_requests=48, user=user)
+    bench = BenchmarkClient(deployment.env, client, label="federated")
+    proc = deployment.env.process(bench.run(requests, arrival=PoissonArrival(rate=4.0)))
+    result = deployment.env.run(until=proc)
+    summary = MergeableSummary.from_records(bench.collector, label="federated",
+                                            duration_s=result.duration_s)
+    for endpoint_id, endpoint in sorted(deployment.endpoints.items()):
+        summary.counters[f"tasks.{endpoint_id}"] = endpoint.tasks_executed
+    return summary
+
+
+def federated_fingerprint() -> str:
+    """Fingerprint of :func:`federated_run` — the ``hashseed-determinism``
+    CI target: one gateway, relay and topology view routing across two
+    clusters, where hash-ordering bugs in placement would surface."""
+    return federated_run().fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +379,10 @@ def main(argv=None) -> int:
         description="rerun a scenario under two PYTHONHASHSEED values and "
                     "diff the merged fingerprints")
     parser.add_argument("--target",
-                        default="repro.analysis.detsan:partitioned_fingerprint",
+                        default="repro.analysis.detsan:federated_fingerprint",
                         help="module:callable producing a fingerprintable "
-                             "result (default: the partitioned 2-worker "
-                             "federation scenario)")
+                             "result (default: the two-cluster federated "
+                             "deployment)")
     parser.add_argument("--seeds", type=int, nargs=2, default=(101, 202),
                         metavar=("SEED_A", "SEED_B"),
                         help="the two PYTHONHASHSEED values to pin")

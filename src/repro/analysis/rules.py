@@ -17,7 +17,7 @@ DET003     no builtin ``hash()`` — its value depends on
 DET004     no iteration / ``sum()`` accumulation over sets in sim-path
            packages — set order depends on ``PYTHONHASHSEED``
 DET005     no lambdas / nested callables in ``ScenarioSpec`` /
-           ``SweepSpec`` / ``BoundaryMessage`` payloads (must pickle)
+           ``SweepSpec`` payloads (must pickle)
 ARCH001    ``obs/`` is observe-only: no event scheduling, no sim RNG
 ARCH002    gateway behavior lands as middleware, not new
            ``InferenceGatewayAPI`` methods
@@ -266,19 +266,19 @@ class UnorderedIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# DET005 — pickle-unsafe sweep / boundary payloads
+# DET005 — pickle-unsafe sweep payloads
 
 #: Constructors whose payloads cross process boundaries (spawn workers pick
 #: them up with a fresh interpreter, so everything must pickle by value or
 #: by importable reference).
-_PICKLED_SPECS = {"ScenarioSpec", "SweepSpec", "BoundaryMessage"}
+_PICKLED_SPECS = {"ScenarioSpec", "SweepSpec"}
 
 
 @register
 class PickleUnsafeRule(Rule):
     name = "DET005"
     description = ("lambda / nested callable passed into ScenarioSpec / "
-                   "SweepSpec / BoundaryMessage (won't pickle to spawn workers)")
+                   "SweepSpec (won't pickle to spawn workers)")
 
     def __init__(self, ctx: FileContext):
         super().__init__(ctx)

@@ -16,7 +16,7 @@ from .functions import (
     FunctionRegistry,
     RegisteredFunction,
 )
-from .relay import RelayBoundaryProxy, RelayConfig, RelayService, RelayStats
+from .relay import RelayConfig, RelayService, RelayStats
 from .task import TaskFuture, TaskRecord, TaskStatus
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "TaskStatus",
     "RelayService",
     "RelayConfig",
-    "RelayBoundaryProxy",
     "RelayStats",
     "ComputeEndpoint",
     "EndpointConfig",

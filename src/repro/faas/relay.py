@@ -35,7 +35,7 @@ from ..sim import Environment, Resource
 from .functions import FunctionRegistry
 from .task import TaskFuture, TaskRecord, TaskStatus
 
-__all__ = ["RelayConfig", "RelayStats", "RelayService", "RelayBoundaryProxy"]
+__all__ = ["RelayConfig", "RelayStats", "RelayService"]
 
 
 @dataclass
@@ -73,111 +73,6 @@ class RelayStats:
     failed: int = 0
     rejected: int = 0
     peak_queued: int = 0
-
-
-class RelayBoundaryProxy:
-    """Stand-in for a :class:`~repro.faas.endpoint.ComputeEndpoint` whose
-    cluster runs in another partition (see :mod:`repro.parallel`).
-
-    The proxy registers with the relay like a real endpoint and answers the
-    queue-depth dispatcher's load questions from the cluster's last barrier
-    snapshot (a :class:`~repro.placement.PoolSignal` held by the shared
-    :class:`~repro.placement.TopologyView`), topped up with the boundary
-    dispatches the snapshot cannot have seen yet.  Tasks routed to it do not
-    execute here: they are appended to an outbox with a deterministic
-    arrival stamp (``submit_time + submit latency + dispatch latency`` — the
-    partition scheme's conservative lookahead) and shipped across the
-    barrier; :meth:`complete` resolves the held outcome event when the
-    result message returns.
-
-    Snapshot staleness is window-granular by construction, and identically
-    so in the serial ``workers=1`` fallback, which is what keeps routing
-    decisions bit-identical across worker counts.
-    """
-
-    is_boundary_proxy = True
-
-    def __init__(self, env: Environment, endpoint_id: str, cluster: str,
-                 models: Sequence[str], view=None):
-        self.env = env
-        self.endpoint_id = endpoint_id
-        self.cluster_name = cluster
-        self.models = list(models)
-        #: The gateway partition's :class:`~repro.placement.TopologyView`;
-        #: remote snapshots land there (``apply_partition_snapshot``) and the
-        #: proxy reads them back, keeping the view in the routing loop.
-        self.view = view
-        #: ``task_id -> (outcome event, dispatch arrival time)`` for tasks
-        #: shipped across the boundary and not yet completed.
-        self._open: Dict[str, tuple] = {}
-        #: Outbox drained by the owning partition at each window barrier.
-        self.outbox: List[dict] = []
-        self._seq = 0
-
-    # -- endpoint interface the relay dispatcher reads ----------------------
-    def _signals(self):
-        if self.view is None:
-            return []
-        signals = []
-        for model in self.models:
-            signal = self.view.pool_signal(self.endpoint_id, model)
-            if signal is not None:
-                signals.append(signal)
-        return signals
-
-    def ready_instance_count(self) -> int:
-        return sum(s.ready_instances for s in self._signals())
-
-    def _unseen_dispatches(self, as_of: float) -> int:
-        """Boundary tasks the cluster's snapshot cannot include yet."""
-        return sum(1 for _evt, arrival in self._open.values() if arrival > as_of)
-
-    def kernel_backlog(self, model: Optional[str] = None) -> int:
-        backlog = 0
-        as_of = -1.0
-        for signal in self._signals():
-            if model is not None and signal.model != model:
-                continue
-            backlog += signal.waiting_tasks + signal.in_flight_tasks
-            as_of = max(as_of, signal.computed_at)
-        return backlog + self._unseen_dispatches(as_of)
-
-    def hosts_model(self, model: str) -> bool:
-        return model in self.models
-
-    # -- boundary mechanics --------------------------------------------------
-    def enqueue_boundary(self, record: TaskRecord, function,
-                         arrival_time: float):
-        """Ship ``record`` across the partition boundary; returns the outcome
-        event resolved by :meth:`complete` when the result message returns."""
-        outcome = self.env.event()
-        self._open[record.task_id] = (outcome, arrival_time)
-        self.outbox.append({
-            "task_id": record.task_id,
-            "function_id": record.function_id,
-            "endpoint_id": self.endpoint_id,
-            "arrival_time": arrival_time,
-            "submit_time": record.submit_time,
-            "submitter": record.submitter,
-            "seq": self._seq,
-            "payload": record.payload,
-        })
-        self._seq += 1
-        return outcome
-
-    def drain_outbox(self) -> List[dict]:
-        out, self.outbox = self.outbox, []
-        return out
-
-    def complete(self, task_id: str, outcome: Dict[str, Any]) -> None:
-        """Resolve a boundary task with the outcome carried by a result
-        message (called by the owning partition at the stamped arrival)."""
-        event, _arrival = self._open.pop(task_id)
-        event.succeed(outcome)
-
-    @property
-    def open_tasks(self) -> int:
-        return len(self._open)
 
 
 class RelayService:
@@ -352,10 +247,6 @@ class RelayService:
 
     def _process_task(self, record: TaskRecord, future: TaskFuture, function,
                       endpoint, trace=None, anchor=None):
-        if getattr(endpoint, "is_boundary_proxy", False):
-            yield from self._process_boundary_task(record, future, function,
-                                                   endpoint)
-            return
         cfg = self.config
         span = None
         if trace is not None:
@@ -410,50 +301,6 @@ class RelayService:
                 result_span.attrs["success"] = False
                 result_span.status = "error"
                 trace.end_span(result_span)
-            future.reject(record.error)
-
-    def _process_boundary_task(self, record: TaskRecord, future: TaskFuture,
-                               function, endpoint: RelayBoundaryProxy):
-        """Relay path for tasks whose endpoint lives in another partition.
-
-        The submit+dispatch wire time spends no simulated time here: it
-        rides the boundary message's arrival stamp (that sum is exactly the
-        gateway partition's conservative lookahead, so the stamp can never
-        land inside the window that produced it).  The returning result
-        likewise already paid ``result_latency_s`` as its message transfer;
-        only the shared routing channel — the paper's R(N) scalability
-        limit, which is cloud-side state — is still modeled here.
-        """
-        cfg = self.config
-        arrival = record.submit_time + cfg.submit_latency_s + cfg.dispatch_latency_s
-        record.status = TaskStatus.DISPATCHED
-        record.dispatch_time = arrival
-        outcome_event = endpoint.enqueue_boundary(record, function, arrival)
-        # The proxy's open-task accounting covers the task from here on.
-        open_count = self._open_dispatches.get(record.endpoint_id, 0)
-        if open_count <= 1:
-            self._open_dispatches.pop(record.endpoint_id, None)
-        else:
-            self._open_dispatches[record.endpoint_id] = open_count - 1
-        outcome = yield outcome_event
-
-        with self._result_channel.request() as req:
-            yield req
-            yield self.env.timeout(self.result_service_time_s())
-
-        record.completion_time = self.env.now
-        if outcome.get("success", False):
-            record.status = TaskStatus.COMPLETED
-            record.result = outcome.get("result")
-            self.stats.completed += 1
-            future.resolve(record.result)
-        else:
-            record.status = TaskStatus.FAILED
-            record.error = outcome.get("error", "unknown error")
-            self.stats.failed += 1
-            self._log.warning("task failed at remote partition",
-                              task_id=record.task_id,
-                              endpoint=record.endpoint_id, error=record.error)
             future.reject(record.error)
 
     # -- status / results (the polling path of Optimization 1) -------------------------

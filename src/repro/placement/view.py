@@ -145,10 +145,6 @@ class TopologyView:
 
         self._pools: Dict[Tuple[str, str], object] = {}
         self._signals: Dict[Tuple[str, str], PoolSignal] = {}
-        #: Signals for pools living in *other partitions* (see
-        #: :meth:`apply_partition_snapshot`): refreshed at window barriers
-        #: from serialized snapshots instead of in-process observer hooks.
-        self._remote_signals: Dict[Tuple[str, str], PoolSignal] = {}
         self._dirty: set = set()
         self._cluster_cache: Dict[str, ClusterSignal] = {}
         self._providers: Dict[str, object] = {}
@@ -227,7 +223,7 @@ class TopologyView:
         key = (endpoint_id, model)
         pool = self._pools.get(key)
         if pool is None:
-            return self._remote_signals.get(key)
+            return None
         self.reads += 1
         cached = self._signals.get(key)
         if (
@@ -276,29 +272,6 @@ class TopologyView:
             computed_at=self.env.now,
         )
 
-    # ------------------------------------------------------------- partition snapshots
-    def apply_partition_snapshot(self, snapshot: dict) -> PoolSignal:
-        """Refresh one remote pool's signal from a partition barrier snapshot.
-
-        In a partitioned deployment (:mod:`repro.parallel`) the cluster's
-        pools live in another process, so the usual in-process observer
-        hooks cannot mark signals dirty.  Instead each cluster partition
-        serializes its pool state at every window barrier and the gateway
-        partition feeds the dicts through here.  The resulting signals are
-        served by :meth:`pool_signal` / :meth:`signals_for_model` exactly
-        like local ones — routing policies and the relay's boundary proxies
-        cannot tell the difference (beyond the window-granular staleness,
-        which the serial fallback reproduces identically).
-        """
-        signal = PoolSignal(**snapshot)
-        self._remote_signals[(signal.endpoint_id, signal.model)] = signal
-        return signal
-
-    def remote_signals(self) -> List[PoolSignal]:
-        """Signals applied via :meth:`apply_partition_snapshot`, in a
-        deterministic (endpoint, model) order."""
-        return [self._remote_signals[k] for k in sorted(self._remote_signals)]
-
     def candidates(self, model: str) -> List[Tuple[object, Optional[PoolSignal]]]:
         """(entry, signal) pairs for every endpoint hosting ``model``, in the
         registry's priority order."""
@@ -308,15 +281,7 @@ class TopologyView:
         ]
 
     def signals_for_model(self, model: str) -> List[PoolSignal]:
-        signals = [sig for _entry, sig in self.candidates(model) if sig is not None]
-        # Remote pools are not federation-registry entries; append their
-        # snapshot signals in deterministic key order.
-        signals.extend(
-            self._remote_signals[key]
-            for key in sorted(self._remote_signals)
-            if key[1] == model and key not in self._pools
-        )
-        return signals
+        return [sig for _entry, sig in self.candidates(model) if sig is not None]
 
     # ------------------------------------------------------------- cluster signals
     def cluster_signal(self, endpoint_id: str) -> Optional[ClusterSignal]:

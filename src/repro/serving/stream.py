@@ -157,19 +157,6 @@ class StreamChannel:
         """
         return self._consumed
 
-    def drain(self) -> list:
-        """Synchronously take every delivered-but-unconsumed item.
-
-        Used at partition boundaries (:mod:`repro.parallel`): a cluster-side
-        channel that nobody consumes live accumulates its window-batched
-        events here, and the partition drains them into a serializable
-        result message instead of attaching a consumer process.  Does not
-        mark the channel live and wakes no waiters.
-        """
-        items = list(self._items)
-        self._items.clear()
-        return items
-
     def get(self) -> Event:
         """Event resolving to the next item, or ``None`` when closed and empty."""
         self._consumed = True

@@ -67,7 +67,6 @@ class Environment:
         # Bound once: schedule/schedule_at/step are the kernel's hottest
         # call sites and the extra attribute hop is measurable there.
         self._push = self._pending.push
-        self._pop = self._pending.pop
         self._pop2 = self._pending.pop2
         #: Optional :class:`repro.obs.KernelProfiler`.  ``None`` (the default)
         #: keeps the kernel entirely unobserved: ``step`` stays the plain
@@ -178,80 +177,6 @@ class Environment:
         if not event._ok and not event._defused:
             # An unhandled failed event aborts the simulation.
             raise event._value
-
-    # -- bounded-horizon stepping (parallel partitions) ------------------
-    def run_until_horizon(self, horizon: float, inclusive: bool = False) -> float:
-        """Process pending events up to a time barrier, then stop.
-
-        The conservative-window parallel scheme (:mod:`repro.parallel`)
-        advances each partition's environment with this instead of
-        :meth:`run`: events strictly before ``horizon`` are committed
-        (``inclusive=True`` also commits events *at* ``horizon`` — the
-        null-message micro-window for zero-lookahead edges), and the first
-        uncommitted event stays in the queue untouched, so boundary
-        messages arriving at or after the barrier can still be scheduled
-        causally.
-
-        Returns :meth:`peek` after stopping: the time of the first
-        uncommitted event, or ``inf`` when the partition has gone idle.
-        ``inclusive=True`` requires a finite ``horizon`` (an unbounded
-        inclusive window is just :meth:`run`).
-        """
-        if inclusive:
-            while self.peek() <= horizon:
-                self.step()
-        else:
-            while self.peek() < horizon:
-                self.step()
-        return self.peek()
-
-    def export_pending(self):
-        """Drain the pending queue into portable ``(time, priority, eid, event)``
-        entries, in exact pop order.
-
-        Together with :meth:`import_pending` this is the kernel's
-        event-migration hook: a partition can be checkpointed, shipped to
-        another process, or moved onto a different queue backend without
-        perturbing the ``(time, priority, eid)`` total order.  Zero-delay
-        URGENT events never survive a barrier (they are consumed within the
-        step that scheduled them), so exporting with a non-empty urgent
-        lane is a caller bug and raises.
-        """
-        if self._urgent:
-            raise RuntimeError(
-                "cannot export pending events while zero-delay URGENT events "
-                "are queued (export only at a window barrier)")
-        entries = []
-        pop = self._pending.pop
-        while True:
-            try:
-                entries.append(pop())
-            except IndexError:
-                return entries
-
-    def import_pending(self, entries, queue: Optional[str] = None) -> None:
-        """Re-insert entries from :meth:`export_pending`.
-
-        ``queue`` optionally rebuilds the pending structure on a different
-        backend first (all backends share the same total order, so the
-        migration is bit-exact).  Event ids are preserved and the id
-        counter resumes past the highest imported id, so events scheduled
-        after an import sort exactly as they would have in the exporting
-        environment.
-        """
-        if queue is not None:
-            self._pending = make_event_queue(queue, self._now)
-            self._push = self._pending.push
-            self._pop = self._pending.pop
-            self._pop2 = self._pending.pop2
-        push = self._push
-        top = -1
-        for time, priority, eid, event in entries:
-            push(time, priority, eid, event)
-            if eid > top:
-                top = eid
-        current = next(self._eid)
-        self._eid = count(max(current, top + 1))
 
     # -- profiling -------------------------------------------------------
     def attach_profiler(self, profiler) -> None:

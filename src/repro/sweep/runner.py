@@ -123,42 +123,6 @@ class SweepResult:
                 out.append(payload["summary"])
         return out
 
-    def registries(self) -> List["MetricsRegistry"]:
-        """Per-cell observability registries, in cell order.
-
-        Cells whose payload carries a ``"registry"`` entry (a
-        :meth:`~repro.obs.MetricsRegistry.to_dict` snapshot — e.g. the
-        ``partitioned`` runner) are rehydrated; cells without one are
-        skipped.
-        """
-        from ..obs import MetricsRegistry
-
-        out = []
-        for result in self.results:
-            if not result.ok:
-                continue
-            payload = result.payload
-            if isinstance(payload, dict) and isinstance(
-                    payload.get("registry"), dict):
-                out.append(MetricsRegistry.from_dict(payload["registry"]))
-        return out
-
-    def merged_registry(self) -> Optional["MetricsRegistry"]:
-        """One registry across every shard, merged in cell order.
-
-        Counter sums and histogram bucket merges are exact, and the cell
-        ordering pins float-addition order — the merged registry is
-        bit-identical for any worker count.  Returns ``None`` when no cell
-        shipped a registry snapshot.
-        """
-        registries = self.registries()
-        if not registries:
-            return None
-        merged = registries[0]
-        for registry in registries[1:]:
-            merged.merge(registry)
-        return merged
-
 
 class SweepRunner:
     """Executes scenario cells, sharded across ``workers`` processes.

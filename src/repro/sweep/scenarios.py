@@ -36,7 +36,6 @@ __all__ = [
     "run_first_cell",
     "run_direct_cell",
     "run_autoscale_policy_cell",
-    "run_partitioned_cell",
 ]
 
 
@@ -297,61 +296,10 @@ def run_autoscale_policy_cell(spec: ScenarioSpec) -> dict:
     return {"summary": summary, "mergeable": mergeable, "entry": entry}
 
 
-# ------------------------------------------------------------------ partitioned federation
-def run_partitioned_cell(spec: ScenarioSpec) -> dict:
-    """One partitioned federated run under the conservative-window parallel
-    plane (:mod:`repro.parallel`).
-
-    Params: ``clusters`` — a list of :class:`~repro.parallel.ClusterShardSpec`
-    (or kwargs dicts for them); ``stream``; ``relay`` (RelayConfig field
-    overrides); ``partition_workers`` — worker processes *inside* the cell
-    (default 1: serial partitions, so sweep workers never nest process
-    pools).  The payload adds the run's bit-identity ``fingerprint``, the
-    window/overhead ``partition_stats``, and the federation-wide ``registry``
-    snapshot that :meth:`~repro.sweep.runner.SweepResult.merged_registry`
-    reduces across cells.
-    """
-    from ..parallel import ClusterShardSpec, FederatedScenario, PartitionedDeployment
-
-    params = spec.params
-    clusters = params.get("clusters") or [{"name": "cluster0"}, {"name": "cluster1"}]
-    shards = [shard if isinstance(shard, ClusterShardSpec)
-              else ClusterShardSpec(**shard) for shard in clusters]
-    scenario = FederatedScenario(
-        clusters=shards,
-        model=spec.model or FederatedScenario.model,
-        num_requests=spec.num_requests,
-        arrival=_arrival_spec(spec),
-        seed=int(spec.tags.get("seed", params.get("seed", 0))),
-        kernel_queue=spec.kernel_queue,
-        stream=bool(params.get("stream", False)),
-        relay=dict(params.get("relay") or {}),
-    )
-    result = PartitionedDeployment(
-        scenario,
-        workers=int(params.get("partition_workers", 1)),
-        mp_context=params.get("partition_mp_context", "spawn"),
-    ).run()
-
-    records = result.records
-    if records:
-        duration = (max(r.completion_time for r in records)
-                    - min(r.send_time for r in records))
-    else:
-        duration = 0.0
-    return _payload(records, spec.label or spec.key, max(duration, 1e-9), extras={
-        "registry": result.registry.to_dict(),
-        "fingerprint": result.fingerprint,
-        "partition_stats": result.stats.to_dict(),
-        "partition_workers": result.workers,
-    })
-
-
 #: Short runner names usable as ``ScenarioSpec.runner``.
 RUNNERS = {
     "engine": run_engine_cell,
     "first": run_first_cell,
     "direct": run_direct_cell,
     "autoscale_policy": run_autoscale_policy_cell,
-    "partitioned": run_partitioned_cell,
 }

@@ -6,7 +6,8 @@ sanitization on a real engine scenario, hypothesis-driven detection of
 injected past-event schedules and duplicate event keys, obs-layer RNG
 attribution (with the dedicated-sampler exemption), and the
 ``compare_hashseeds`` subprocess harness passing on ``quickstart_config``
-while failing on a deliberately ``hash()``-keyed toy.
+and on the two-cluster federated target while failing on a deliberately
+``hash()``-keyed toy.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import DetSan, DetSanError, compare_hashseeds
+from repro.analysis.detsan import federated_run
 from repro.sim import Environment
 
 try:
@@ -242,6 +244,17 @@ class TestCompareHashseeds:
             "repro.analysis.detsan:quickstart_fingerprint", seeds=(101, 202))
         assert report.ok, report.to_dict()
         assert len(set(report.fingerprints.values())) == 1
+
+    def test_two_cluster_federation_is_hashseed_independent(self):
+        report = compare_hashseeds(
+            "repro.analysis.detsan:federated_fingerprint", seeds=(101, 202))
+        assert report.ok, report.to_dict()
+        # The in-process run (this interpreter's own hash seed) agrees, and
+        # the fingerprinted run really did route to both clusters.
+        summary = federated_run()
+        assert summary.fingerprint() == report.fingerprints[101]
+        assert summary.counters["tasks.ep-sophia"] > 0
+        assert summary.counters["tasks.ep-polaris"] > 0
 
     def test_hash_keyed_toy_scenario_is_caught(self):
         report = compare_hashseeds(

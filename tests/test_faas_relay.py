@@ -9,7 +9,6 @@ from repro.core import FIRSTDeployment
 from repro.faas import (
     HANDLER_CHAT,
     FunctionRegistry,
-    RelayBoundaryProxy,
     RelayConfig,
     RelayService,
     TaskRecord,
@@ -307,52 +306,43 @@ def open_task_scan(relay):
     return sum(1 for t in relay._tasks.values() if not t.status.terminal)
 
 
-def complete_boundary_tasks(env, proxy, delay):
-    """Stand in for the remote partition: resolve every shipped task
-    ``delay`` after its arrival stamp, alternating success and failure."""
-
-    def finish(message):
-        yield env.timeout_at(max(env.now, message["arrival_time"] + delay))
-        success = message["seq"] % 2 == 0
-        outcome = ({"success": True, "result": {"remote": message["seq"]}} if success
-                   else {"success": False, "error": "remote boom"})
-        proxy.complete(message["task_id"], outcome)
-
-    while True:
-        yield env.timeout(0.5)
-        for message in proxy.drain_outbox():
-            env.process(finish(message))
+#: Candidate-list target: two ready local endpoints, one succeeding and one
+#: failing, chosen per task by the relay's queue-depth dispatcher.
+LISTED = ("ep-listed-ok", "ep-listed-bad")
 
 
 @settings(max_examples=40, deadline=None)
 @given(schedule=st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=3.0),
-              st.sampled_from(["ep-ok", "ep-bad", "ep-remote"])),
+              st.sampled_from(["ep-ok", "ep-bad", LISTED])),
     max_size=40))
 def test_queued_tasks_counter_equals_record_scan(schedule):
-    """Both terminal paths (local endpoint and partition boundary), with
-    successes and failures: the counter-derived open-task count equals the
-    explicit scan after every step, peaks where the scan peaks and returns
-    to zero at quiescence."""
-    # A fixed head covers every (path, outcome) pair in every example; the
-    # two remote tasks get boundary seq 0 (succeeds) and 1 (fails).
-    schedule = [(0.0, "ep-ok"), (0.0, "ep-bad"), (0.0, "ep-remote"),
-                (0.0, "ep-remote")] + schedule
+    """Both terminal paths (success and failure), for tasks sent to one
+    endpoint id and for tasks dispatched from a candidate list: the
+    counter-derived open-task count equals the explicit scan after every
+    step, peaks where the scan peaks and returns to zero at quiescence."""
+    # A fixed head covers every (target, outcome) pair in every example:
+    # the first listed task goes to the first candidate (equal backlogs),
+    # the second sees that open dispatch and goes to the failing one.
+    schedule = [(0.0, "ep-ok"), (0.0, "ep-bad"), (0.0, LISTED),
+                (0.0, LISTED)] + schedule
     env = Environment()
-    proxy = RelayBoundaryProxy(env, "ep-remote", "remote", ["m"])
+    listed_ok = FakeEndpoint(env, endpoint_id="ep-listed-ok", delay=1.0)
+    listed_bad = FakeEndpoint(env, endpoint_id="ep-listed-bad", delay=1.0, succeed=False)
     relay = make_multi_relay(env, [
         FakeEndpoint(env, endpoint_id="ep-ok", delay=2.0),
         FakeEndpoint(env, endpoint_id="ep-bad", delay=1.5, succeed=False),
-        proxy,
+        listed_ok,
+        listed_bad,
     ])
-    env.process(complete_boundary_tasks(env, proxy, delay=1.0))
     scans_after_submit = []
 
     def submitter(env):
-        for gap, endpoint_id in schedule:
+        for gap, target in schedule:
             if gap > 0:
                 yield env.timeout(gap)
-            relay.submit("fn-chat", endpoint_id, {"x": len(scans_after_submit)})
+            relay.submit("fn-chat", list(target) if target is LISTED else target,
+                         {"x": len(scans_after_submit)})
             scans_after_submit.append(open_task_scan(relay))
 
     env.process(submitter(env))
@@ -366,7 +356,7 @@ def test_queued_tasks_counter_equals_record_scan(schedule):
     assert relay.queued_tasks == 0
     assert stats.submitted == len(schedule) == stats.completed + stats.failed
     assert stats.peak_queued == max(scans_after_submit)
-    assert proxy.open_tasks == 0
+    assert listed_ok.executed >= 1 and listed_bad.executed >= 1
 
 
 def test_full_relay_rejects_with_capacity_error_and_leaks_nothing():

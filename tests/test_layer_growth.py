@@ -1,10 +1,13 @@
 """Complexity gate: per-request host cost of every layer stays flat as the
 request count doubles.
 
-A single-cluster FIRST chat scenario runs at N and 2N requests under
-cProfile, after a warm-up run that takes imports and lazy set-up out of the
-measurement.  Calls are aggregated by ``repro.<package>`` (everything
-outside ``repro`` is ``other``).  Call counts of a deterministic simulation
+Two FIRST chat scenarios each run at N and 2N requests under cProfile,
+after a warm-up run that takes imports and lazy set-up out of the
+measurement: one prewarmed 70B instance on a single Sophia-like cluster,
+and the two-cluster Sophia + Polaris federation of the hash-seed guard
+(least-loaded routing, one warm 8B instance per cluster).  Calls are
+aggregated by ``repro.<package>`` (everything outside ``repro`` is
+``other``).  Call counts of a deterministic simulation
 are themselves deterministic, so the bound can be tight: a layer whose cost
 per request grows with history (a scan over every record ever kept, say)
 shows up as a ratio near 2, while linear layers sit at 1.00 within edge
@@ -12,14 +15,16 @@ effects.
 """
 
 import cProfile
+import gc
 import os
 import pstats
 
+import pytest
+
+from repro.analysis.detsan import federated_deployment
 from repro.core import FIRSTDeployment, sophia_benchmark_config
 from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
 
-MODEL = "meta-llama/Llama-3.3-70B-Instruct"
-USER = "benchmark@anl.gov"
 N = 300
 MAX_GROWTH = 1.05
 
@@ -34,14 +39,32 @@ def layer_of(filename):
     return filename[at + len(_MARK):].split(os.sep, 1)[0]
 
 
-def calls_per_request(n):
+def single_cluster_deployment():
+    model = "meta-llama/Llama-3.3-70B-Instruct"
+    deployment = FIRSTDeployment(sophia_benchmark_config(model=model))
+    deployment.warm_up(model)
+    return deployment
+
+
+SCENARIOS = {
+    "single-cluster": single_cluster_deployment,
+    "two-cluster": federated_deployment,
+}
+
+
+def calls_per_request(build, n):
     """Profiled calls per request, by layer, for ``n`` Poisson chats at
-    4 req/s (below saturation) on one prewarmed instance."""
-    deployment = FIRSTDeployment(sophia_benchmark_config(model=MODEL))
-    deployment.warm_up(MODEL)
-    client = deployment.client(USER)
-    requests = ShareGPTWorkload().generate(MODEL, num_requests=n, user=USER)
+    4 req/s (below saturation) on the deployment ``build()`` returns, plus
+    the tasks each endpoint executed."""
+    deployment = build()
+    model = deployment.config.clusters[0].models[0].model
+    user = deployment.config.users[0]
+    client = deployment.client(user)
+    requests = ShareGPTWorkload().generate(model, num_requests=n, user=user)
     bench = BenchmarkClient(deployment.env, client, label="growth")
+    # Collect earlier runs' garbage now: generator finalizers of a dropped
+    # deployment must not be billed to this one.
+    gc.collect()
     profiler = cProfile.Profile()
     profiler.enable()
     proc = deployment.env.process(bench.run(requests, arrival=PoissonArrival(rate=4.0)))
@@ -52,13 +75,18 @@ def calls_per_request(n):
     for (filename, _line, _func), (_cc, calls, *_rest) in pstats.Stats(profiler).stats.items():
         layer = layer_of(filename)
         layers[layer] = layers.get(layer, 0) + calls
-    return {layer: calls / n for layer, calls in layers.items()}
+    executed = {eid: ep.tasks_executed for eid, ep in deployment.endpoints.items()}
+    return {layer: calls / n for layer, calls in layers.items()}, executed
 
 
-def test_every_layer_cost_per_request_is_flat_in_request_count():
-    calls_per_request(N // 6)  # warm-up
-    at_n = calls_per_request(N)
-    at_2n = calls_per_request(2 * N)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_layer_cost_per_request_is_flat_in_request_count(scenario):
+    build = SCENARIOS[scenario]
+    calls_per_request(build, N // 6)  # warm-up
+    at_n, executed_n = calls_per_request(build, N)
+    at_2n, executed_2n = calls_per_request(build, 2 * N)
+    # Every endpoint serves traffic (both clusters in the federated case).
+    assert all(executed_n.values()) and all(executed_2n.values())
     assert {"gateway", "auth", "faas", "serving", "sim"} <= set(at_n) == set(at_2n)
     growth = {layer: at_2n[layer] / at_n[layer] for layer in at_n}
     grown = {layer: round(ratio, 3) for layer, ratio in growth.items() if ratio > MAX_GROWTH}
