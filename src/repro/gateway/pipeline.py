@@ -280,9 +280,9 @@ class DispatchMiddleware(Middleware):
     """Convert the request into a compute task and retrieve the result.
 
     For streaming requests an ingress :class:`~repro.serving.StreamChannel`
-    travels with the task down to the engine; a forwarder process consumes
-    it, timestamps every token at the gateway (the gateway-observed
-    TTFT/ITL) and relays the events to the caller's egress channel.
+    travels with the task down to the engine; a :class:`_StreamForwarder`
+    subscribed to it timestamps every token at the gateway (the gateway-
+    observed TTFT/ITL) and relays the events to the caller's egress channel.
     """
 
     name = "dispatch"
@@ -298,7 +298,8 @@ class DispatchMiddleware(Middleware):
         forwarder = None
         if ctx.streaming:
             ingress = StreamChannel(api.env, delivery_latency_s=cfg.stream_chunk_latency_s)
-            forwarder = api.env.process(self._forward_stream(ctx, ingress))
+            forwarder = _StreamForwarder(api.env, ctx)
+            ingress.subscribe(forwarder)
         future = api.compute_client.submit(
             api.function_for(handler),
             ctx.endpoint.endpoint_id,
@@ -324,7 +325,7 @@ class DispatchMiddleware(Middleware):
             # future somehow beat the per-chunk delivery latency, no
             # in-flight token events are dropped and the gateway-observed
             # timeline is complete.
-            yield forwarder
+            yield forwarder.finished
             ingress.close()
 
         # Egress CPU work (serialise the response).
@@ -349,31 +350,36 @@ class DispatchMiddleware(Middleware):
         ctx.result = result
         yield from call_next(ctx)
 
-    def _forward_stream(self, ctx: RequestContext, ingress: StreamChannel):
-        """Consume engine events, timestamp them and relay to the caller."""
+
+class _StreamForwarder:
+    """Push consumer of the ingress channel: timestamps each token at the
+    gateway, relays it to the caller's egress channel, and succeeds
+    :attr:`finished` on the engine's ``done`` event or the channel's close."""
+
+    def __init__(self, env, ctx: RequestContext):
+        self.env = env
+        self.ctx = ctx
+        self.finished = env.event()
         tctx = ctx.trace_context
-        anchor = tctx.current if tctx is not None else None
-        span = None
-        tokens = 0
-        while True:
-            event = yield ingress.get()
-            if event is None:
-                break
-            if event.kind == "token":
-                ctx.gateway_token_times.append(self.api.env.now)
-                if tctx is not None and span is None:
-                    span = tctx.start_span("gateway.stream_delivery",
-                                           parent=anchor, layer="gateway")
-                tokens += 1
-                if ctx.egress is not None:
-                    ctx.egress.deliver(event)
-            elif event.kind == "done":
-                # The terminal chunk for the caller is emitted by the gateway
-                # once the authoritative result arrives via the future path.
-                break
-        if span is not None:
-            span.attrs["tokens"] = tokens
-            tctx.end_span(span)
+        self._anchor = tctx.current if tctx is not None else None
+        self._span = None
+
+    def __call__(self, event) -> None:
+        ctx = self.ctx
+        if event is not None and event.kind == "token":
+            ctx.gateway_token_times.append(self.env.now)
+            if ctx.trace_context is not None and self._span is None:
+                self._span = ctx.trace_context.start_span(
+                    "gateway.stream_delivery", parent=self._anchor, layer="gateway")
+            if ctx.egress is not None:
+                ctx.egress.deliver(event)
+        elif (event is None or event.kind == "done") and not self.finished.triggered:
+            # The terminal chunk for the caller is emitted by the gateway
+            # once the authoritative result arrives via the future path.
+            if self._span is not None:
+                self._span.attrs["tokens"] = len(ctx.gateway_token_times)
+                ctx.trace_context.end_span(self._span)
+            self.finished.succeed()
 
 
 def default_middleware_factories() -> List[MiddlewareFactory]:

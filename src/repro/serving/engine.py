@@ -43,9 +43,10 @@ A macro-step window ends at the earliest of:
 * KV growth that cannot be guaranteed for the whole window
   (``grow_bulk`` fails ⇒ fall back to per-token stepping, which performs
   preemption with the exact original semantics);
-* a running sequence with a *live* stream channel — one whose consumer has
-  started reading (:attr:`StreamChannel.live`); live consumers observe
-  per-token timing, so the engine keeps emitting one event per iteration.
+* a running sequence with a *live* stream channel — one with a subscribed
+  sink (the gateway) or a reader of ``get`` (:attr:`StreamChannel.live`);
+  live consumers observe per-token timing, so the engine keeps emitting one
+  event per iteration.
   Streaming sequences nobody is reading yet macro-step normally: their
   token events are published as one bulk batch per window, each event
   stamped with its exact iteration-boundary time, so TTFT/ITL math is

@@ -11,14 +11,15 @@ outside the serving engine for the first time.
 The channel is a single-producer/single-consumer queue in simulated time.
 ``delivery_latency_s`` models the per-chunk network hop (the SSE frame
 travelling engine → relay → gateway): every published item becomes visible
-to the consumer that many simulated seconds later, preserving FIFO order.
+to the consumer that many simulated seconds later, preserving FIFO order,
+at the cost of one kernel timer per publish (its callback hands items on).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from ..sim import Environment, Event
 
@@ -54,28 +55,31 @@ class StreamEvent:
 class StreamChannel:
     """FIFO channel of :class:`StreamEvent` items in simulated time.
 
-    Producers call :meth:`publish` / :meth:`close`; the consumer repeatedly
-    yields :meth:`get`, which resolves to the next item or ``None`` once the
-    channel is closed and drained.  Both sides are simulation-safe: a
-    pending consumer is woken as soon as an item is delivered.
+    Producers call :meth:`publish` / :meth:`close`.  The one consumer either
+    yields :meth:`get` (the next item, or ``None`` once closed and drained)
+    or :meth:`subscribe`\\ s a sink, called with each item at delivery and
+    with ``None`` at close, at no kernel event of its own.  The close drops
+    the sink: relay-held channels must not pin the consumer's state.
     """
+
+    __slots__ = ("env", "delivery_latency_s", "_items", "_waiters", "_sink",
+                 "_close_requested", "_closed", "_consumed")
 
     def __init__(self, env: Environment, delivery_latency_s: float = 0.0):
         self.env = env
         self.delivery_latency_s = delivery_latency_s
         self._items: Deque[Any] = deque()
         self._waiters: Deque[Event] = deque()
+        self._sink: Optional[Callable[[Any], None]] = None
+        self._close_requested = False
         self._closed = False
         self._consumed = False
-        self.published = 0
-        self.delivered = 0
 
     # -- producer side -----------------------------------------------------
     def publish(self, item: Any) -> None:
         """Make ``item`` available to the consumer after the delivery latency."""
-        self.published += 1
         if self.delivery_latency_s > 0:
-            self.env.process(self._deliver_later(item, close=False))
+            self.env.timeout(self.delivery_latency_s, item).callbacks.append(self._deliver)
         else:
             self._push(item)
 
@@ -91,49 +95,50 @@ class StreamChannel:
         after the *publish*, not after their production times — only
         possible when nobody was consuming live).
         """
-        self.published += len(items)
         if self.delivery_latency_s > 0:
-            self.env.process(self._deliver_bulk_later(items))
+            self.env.timeout(self.delivery_latency_s, items).callbacks.append(self._deliver_bulk)
         else:
             for item in items:
                 self._push(item)
 
     def close(self) -> None:
-        """Close the channel (idempotent); pending ``get``\\ s resolve to ``None``.
+        """Close the channel; pending ``get``\\ s resolve to ``None``.
 
         The close travels through the same delayed-delivery path as items so
-        it can never overtake an in-flight event.
+        it can never overtake an in-flight event.  Repeated calls are no-ops.
         """
+        if self._close_requested:
+            return
+        self._close_requested = True
         if self.delivery_latency_s > 0:
-            self.env.process(self._deliver_later(None, close=True))
+            self.env.timeout(self.delivery_latency_s).callbacks.append(self._close_now)
         else:
             self._close_now()
 
-    def _deliver_later(self, item: Any, close: bool):
-        yield self.env.timeout(self.delivery_latency_s)
-        if close:
-            self._close_now()
-        else:
-            self._push(item)
+    def _deliver(self, timer: Event) -> None:
+        self._push(timer.value)
 
-    def _deliver_bulk_later(self, items: list):
-        yield self.env.timeout(self.delivery_latency_s)
-        for item in items:
+    def _deliver_bulk(self, timer: Event) -> None:
+        for item in timer.value:
             self._push(item)
 
     def _push(self, item: Any) -> None:
         if self._closed:
             return
-        if self._waiters:
-            self.delivered += 1
+        if self._sink is not None:
+            self._sink(item)
+        elif self._waiters:
             self._waiters.popleft().succeed(item)
         else:
             self._items.append(item)
 
-    def _close_now(self) -> None:
+    def _close_now(self, _timer: Optional[Event] = None) -> None:
         if self._closed:
             return
         self._closed = True
+        sink, self._sink = self._sink, None
+        if sink is not None:
+            sink(None)
         while self._waiters:
             self._waiters.popleft().succeed(None)
 
@@ -148,7 +153,7 @@ class StreamChannel:
 
     @property
     def live(self) -> bool:
-        """True once a consumer has ever called :meth:`get`.
+        """True once a consumer has subscribed or ever called :meth:`get`.
 
         A live channel's consumer observes per-token timing, so the engine
         keeps emitting one kernel event per iteration for it; channels that
@@ -157,12 +162,21 @@ class StreamChannel:
         """
         return self._consumed
 
+    def subscribe(self, sink: Callable[[Any], None]) -> None:
+        """Attach ``sink`` as the push consumer of a fresh channel.
+
+        Raises ``RuntimeError`` once a consumer is attached or anything arrived.
+        """
+        if self._consumed or self._items or self._closed:
+            raise RuntimeError("subscribe() needs a StreamChannel nothing was delivered to")
+        self._consumed = True
+        self._sink = sink
+
     def get(self) -> Event:
         """Event resolving to the next item, or ``None`` when closed and empty."""
         self._consumed = True
         event = self.env.event()
         if self._items:
-            self.delivered += 1
             event.succeed(self._items.popleft())
         elif self._closed:
             event.succeed(None)

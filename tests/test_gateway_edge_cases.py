@@ -348,6 +348,112 @@ def test_stream_channel_delivery_latency_preserves_order():
     assert arrivals == [(1, 0.5), (2, 0.5)]
 
 
+class _Recorder:
+    """Push-style stream consumer recording ``(item, delivery time)``."""
+
+    def __init__(self, env):
+        self.env = env
+        self.seen = []
+
+    def __call__(self, item):
+        self.seen.append((item, self.env.now))
+
+
+def test_stream_channel_subscribe_delivers_at_publish_time_plus_latency():
+    from repro.serving import StreamChannel
+
+    env = Environment()
+    channel = StreamChannel(env, delivery_latency_s=0.5)
+    sink = _Recorder(env)
+    channel.subscribe(sink)
+    assert channel.live
+    channel.publish("a")
+    env.run(until=0.25)
+    channel.publish_bulk(["b", "c"])
+    channel.publish("d")
+    env.run(until=0.5)
+    assert sink.seen == [("a", 0.5)]
+    env.run(until=1.0)
+    channel.close()
+    channel.publish("late")
+    channel.publish_bulk(["later"])
+    env.run()
+    # Every item lands at its publish time + 0.5 in FIFO order, the close
+    # reaches the sink once, and publishes after the close are dropped.
+    assert sink.seen == [("a", 0.5), ("b", 0.75), ("c", 0.75), ("d", 0.75), (None, 1.5)]
+
+
+def test_stream_channel_close_schedules_once_and_releases_the_sink():
+    import gc
+    import weakref
+
+    from repro.serving import StreamChannel
+
+    env = Environment()
+    channel = StreamChannel(env, delivery_latency_s=0.5)
+    sink = _Recorder(env)
+    channel.subscribe(sink)
+    with pytest.raises(RuntimeError):
+        channel.subscribe(_Recorder(env))
+    channel.close()
+    scheduled = env.queue_size
+    channel.close()
+    assert env.queue_size == scheduled == 1
+    env.run()
+    assert channel.closed and sink.seen == [(None, 0.5)]
+    sink_ref = weakref.ref(sink)
+    del sink
+    gc.collect()
+    assert sink_ref() is None
+
+
+def test_stream_channel_subscribe_needs_a_fresh_channel():
+    from repro.serving import StreamChannel
+
+    env = Environment()
+    queued = StreamChannel(env)
+    queued.publish("a")
+    closed = StreamChannel(env)
+    closed.close()
+    pulled = StreamChannel(env)
+    pulled.get()
+    for channel in (queued, closed, pulled):
+        with pytest.raises(RuntimeError):
+            channel.subscribe(_Recorder(env))
+    assert env.run(until=queued.get()) == "a"
+
+
+def test_streamed_request_context_is_released_while_relay_keeps_payload(
+        deployment, monkeypatch):
+    import gc
+    import weakref
+
+    from repro.serving import STREAM_CHANNEL_KEY
+
+    relay = deployment.relay
+    submitted = []
+    real_submit = relay.submit
+
+    def spy(function_id, endpoint_id, payload, **kwargs):
+        future = real_submit(function_id, endpoint_id, payload, **kwargs)
+        submitted.append((future, payload))
+        return future
+
+    monkeypatch.setattr(relay, "submit", spy)
+    client = deployment.client("researcher@anl.gov")
+    chunks = list(client.chat_completion(
+        MODEL_7B, [{"role": "user", "content": "stream me"}], max_tokens=8, stream=True))
+    assert chunks[-1]["choices"][0]["finish_reason"] == "stop"
+    deployment.run_for(1.0)
+    ctx_ref = weakref.ref(deployment.gateway.last_context)
+    deployment.gateway.last_context = None
+    gc.collect()
+    (future, payload), = submitted
+    assert relay.get_task(future.task_id).payload is payload
+    assert payload[STREAM_CHANNEL_KEY].closed
+    assert ctx_ref() is None
+
+
 def test_routing_cache_reuses_decision(deployment):
     client = deployment.client("researcher@anl.gov")
     before = len(deployment.gateway.router.decisions)

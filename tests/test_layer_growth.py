@@ -1,17 +1,21 @@
 """Complexity gate: per-request host cost of every layer stays flat as the
 request count doubles.
 
-Two FIRST chat scenarios each run at N and 2N requests under cProfile,
+Three FIRST chat scenarios each run at N and 2N requests under cProfile,
 after a warm-up run that takes imports and lazy set-up out of the
 measurement: one prewarmed 70B instance on a single Sophia-like cluster,
-and the two-cluster Sophia + Polaris federation of the hash-seed guard
-(least-loaded routing, one warm 8B instance per cluster).  Calls are
+the two-cluster Sophia + Polaris federation of the hash-seed guard
+(least-loaded routing, one warm 8B instance per cluster), and that
+federation again with every request streamed.  Calls are
 aggregated by ``repro.<package>`` (everything outside ``repro`` is
 ``other``).  Call counts of a deterministic simulation
 are themselves deterministic, so the bound can be tight: a layer whose cost
 per request grows with history (a scan over every record ever kept, say)
 shows up as a ratio near 2, while linear layers sit at 1.00 within edge
 effects.
+
+Beside the gate, a budget on kernel events per streamed output token: a
+delivered token should cost the kernel one timer, not a process.
 """
 
 import cProfile
@@ -23,10 +27,16 @@ import pytest
 
 from repro.analysis.detsan import federated_deployment
 from repro.core import FIRSTDeployment, sophia_benchmark_config
+from repro.obs import KernelProfiler
 from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
 
 N = 300
 MAX_GROWTH = 1.05
+#: Kernel events per output token on the streamed scenario at N, all events
+#: of the run counted.  A per-token delivery process feeding a pulling
+#: gateway forwarder measured 4.51, a delivery timer feeding that pulling
+#: forwarder 2.48, and a delivery timer pushing into the forwarder 1.46.
+MAX_EVENTS_PER_STREAMED_TOKEN = 2.0
 
 _MARK = os.sep + "repro" + os.sep
 
@@ -46,28 +56,38 @@ def single_cluster_deployment():
     return deployment
 
 
+#: Scenario name → (deployment builder, whether every request streams).
 SCENARIOS = {
-    "single-cluster": single_cluster_deployment,
-    "two-cluster": federated_deployment,
+    "single-cluster": (single_cluster_deployment, False),
+    "two-cluster": (federated_deployment, False),
+    "streamed": (federated_deployment, True),
 }
 
 
-def calls_per_request(build, n):
-    """Profiled calls per request, by layer, for ``n`` Poisson chats at
-    4 req/s (below saturation) on the deployment ``build()`` returns, plus
-    the tasks each endpoint executed."""
+def prepare(scenario, n):
+    """The deployment of ``scenario`` and a benchmark client running ``n``
+    Poisson chats at 4 req/s (below saturation) on it."""
+    build, stream = SCENARIOS[scenario]
     deployment = build()
     model = deployment.config.clusters[0].models[0].model
     user = deployment.config.users[0]
-    client = deployment.client(user)
     requests = ShareGPTWorkload().generate(model, num_requests=n, user=user)
-    bench = BenchmarkClient(deployment.env, client, label="growth")
+    for request in requests:
+        request.stream = stream
+    bench = BenchmarkClient(deployment.env, deployment.client(user), label="growth")
+    return deployment, lambda: bench.run(requests, arrival=PoissonArrival(rate=4.0))
+
+
+def calls_per_request(scenario, n):
+    """Profiled calls per request, by layer, for ``n`` chats of ``scenario``,
+    plus the tasks each endpoint executed."""
+    deployment, traffic = prepare(scenario, n)
     # Collect earlier runs' garbage now: generator finalizers of a dropped
     # deployment must not be billed to this one.
     gc.collect()
     profiler = cProfile.Profile()
     profiler.enable()
-    proc = deployment.env.process(bench.run(requests, arrival=PoissonArrival(rate=4.0)))
+    proc = deployment.env.process(traffic())
     summary = deployment.env.run(until=proc)
     profiler.disable()
     assert summary.num_successful == n
@@ -81,13 +101,25 @@ def calls_per_request(build, n):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_every_layer_cost_per_request_is_flat_in_request_count(scenario):
-    build = SCENARIOS[scenario]
-    calls_per_request(build, N // 6)  # warm-up
-    at_n, executed_n = calls_per_request(build, N)
-    at_2n, executed_2n = calls_per_request(build, 2 * N)
+    calls_per_request(scenario, N // 6)  # warm-up
+    at_n, executed_n = calls_per_request(scenario, N)
+    at_2n, executed_2n = calls_per_request(scenario, 2 * N)
     # Every endpoint serves traffic (both clusters in the federated case).
     assert all(executed_n.values()) and all(executed_2n.values())
     assert {"gateway", "auth", "faas", "serving", "sim"} <= set(at_n) == set(at_2n)
     growth = {layer: at_2n[layer] / at_n[layer] for layer in at_n}
     grown = {layer: round(ratio, 3) for layer, ratio in growth.items() if ratio > MAX_GROWTH}
     assert not grown, f"calls/request grow with request count: {grown}"
+
+
+def test_streamed_token_costs_a_bounded_number_of_kernel_events():
+    deployment, traffic = prepare("streamed", N)
+    profiler = KernelProfiler()
+    deployment.env.attach_profiler(profiler)
+    summary = deployment.env.run(until=deployment.env.process(traffic()))
+    deployment.env.detach_profiler()
+    assert summary.num_successful == N
+    assert deployment.gateway.last_context.gateway_token_times  # it did stream
+    per_token = profiler.events_total / summary.total_output_tokens
+    assert per_token <= MAX_EVENTS_PER_STREAMED_TOKEN, (
+        f"{per_token:.2f} kernel events per streamed token")
