@@ -21,27 +21,27 @@ accumulated with the same sequence of float additions the per-token loop
 performs, and absolute-time scheduling (``Environment.timeout_at``) replays
 them bit-for-bit.
 
-The remaining kernel cost is the pending-event structure itself; it is
-pluggable (``Environment(queue="heap"|"calendar"|"packed"|"auto")``, see
-:mod:`repro.sim.queues`) and every backend pops the same total order, so
-engine results do not depend on the choice.
-
-Window *math* is additionally vectorized with numpy when the batch (or
-window) reaches ``EngineConfig.vector_batch_crossover``: the remaining-token
-reduction in :meth:`_plan_window`, the KV-growth targets in
-:meth:`_window_growth`, and the iteration-boundary / busy-time accumulation
-chains (via ``np.cumsum``, whose sequential ``add.accumulate`` reproduces
-the scalar loop's float additions bit-for-bit).  Below the crossover — and
-whenever numpy is not installed — the scalar path runs instead; both paths
-produce bit-identical results, so the dependency stays optional.
+Each window costs one planning and one applying pass over the batch.  The
+iteration that admits (prefills) new sequences is the window's iteration 0,
+with its own duration; the rest share one decode step.  KV growth is first
+checked against the O(1) bound ``len(running) * ceil((iters + 1) / B) <=
+free_blocks``: every allocation covers at least its sequence's tokens (the
+engine steps per token right after a failed growth), and ``ceil((x + y) /
+B) <= ceil(x / B) + ceil(y / B)``.  Only when the bound fails does the exact
+probe (:meth:`KVCacheManager.can_grow_bulk`) run, so no window the probe
+would allow is lost.  Single iterations take the window path too; the
+per-token :meth:`_advance` runs only where exact per-token semantics matter.
+The window math is plain Python; no numpy.  The kernel's pending-event
+structure is pluggable (``Environment(queue=)``, see :mod:`repro.sim.queues`);
+every backend pops the same total order.
 
 A macro-step window ends at the earliest of:
 
 * the earliest completion among running sequences (state changes there);
-* any admission this iteration (prefill extends only the *first* iteration's
-  duration, so admission iterations always step per-token);
+* the next boundary, when the per-step prefill budget stopped admission
+  with work waiting, room in the batch and KV to spare;
 * KV growth that cannot be guaranteed for the whole window
-  (``grow_bulk`` fails ⇒ fall back to per-token stepping, which performs
+  (the probe fails ⇒ fall back to per-token stepping, which performs
   preemption with the exact original semantics);
 * a running sequence with a *live* stream channel — one with a subscribed
   sink (the gateway) or a reader of ``get`` (:attr:`StreamChannel.live`);
@@ -76,11 +76,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Set, Tuple
 
-try:  # Vector window math is optional: the scalar path is bit-identical.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
 from ..obs.trace import TRACE_KEY
 from ..sim import Environment, Event, Interrupt
 from .kvcache import KVCacheConfig, KVCacheManager
@@ -109,11 +104,6 @@ class EngineConfig:
     #: reference one-event-per-iteration loop; simulated-time results are
     #: identical either way.
     macro_stepping: bool = True
-    #: Batch size (or window length) at which window math switches from the
-    #: scalar loops to numpy array ops.  Both paths are bit-identical; the
-    #: crossover only trades constant factors (array construction overhead
-    #: vs per-element interpreter work).  Ignored when numpy is missing.
-    vector_batch_crossover: int = 32
 
 
 @dataclass
@@ -147,12 +137,13 @@ class _Sequence:
 
     __slots__ = (
         "request",
+        "seq_id",
+        "target_tokens",
         "event",
         "generated",
         "enqueue_time",
         "admit_time",
         "first_token_time",
-        "prefilled",
         "stream_channel",
         "streamed",
         "stream_words",
@@ -162,12 +153,13 @@ class _Sequence:
 
     def __init__(self, request: InferenceRequest, event: Event, enqueue_time: float):
         self.request = request
+        self.seq_id = request.request_id
+        self.target_tokens = max(1, request.max_output_tokens)
         self.event = event
         self.generated = 0
         self.enqueue_time = enqueue_time
         self.admit_time: Optional[float] = None
         self.first_token_time: Optional[float] = None
-        self.prefilled = False
         #: Stream channel carried in the request metadata (``stream=True`` only).
         self.stream_channel = (
             request.metadata.get(STREAM_CHANNEL_KEY) if request.stream else None
@@ -183,30 +175,28 @@ class _Sequence:
         self.stream_words = None
 
     @property
-    def seq_id(self) -> str:
-        return self.request.request_id
-
-    @property
-    def target_tokens(self) -> int:
-        return max(1, self.request.max_output_tokens)
-
-    @property
     def total_tokens(self) -> int:
         return self.request.prompt_tokens + self.generated
 
 
 class _Window:
-    """An in-flight macro-step: ``len(boundaries)`` decode iterations
-    collapsed into one kernel event.
+    """An in-flight macro-step: ``len(boundaries)`` iterations collapsed into
+    one kernel event.
 
     ``boundaries`` holds the absolute simulated time of every iteration
     boundary in the window; ``done`` counts how many have been applied (a
-    window interrupted mid-flight is applied piecewise).
+    window interrupted mid-flight is applied piecewise).  Iteration 0 lasts
+    ``first_step`` (the decode step plus any prefill admitted at ``start``),
+    every later one ``step``.
     """
 
-    __slots__ = ("step", "boundaries", "kv_blocked", "done", "interrupted", "closed")
+    __slots__ = ("start", "first_step", "step", "boundaries", "kv_blocked",
+                 "done", "interrupted", "closed")
 
-    def __init__(self, step: float, boundaries: List[float], kv_blocked: bool):
+    def __init__(self, start: float, first_step: float, step: float,
+                 boundaries: List[float], kv_blocked: bool):
+        self.start = start
+        self.first_step = first_step
         self.step = step
         self.boundaries = boundaries
         self.kv_blocked = kv_blocked
@@ -216,6 +206,14 @@ class _Window:
         #: loop must not touch it again (e.g. an Interrupt queued by a submit
         #: in the same callback as the stop is still in flight).
         self.closed = False
+
+    def step_of(self, i: int) -> float:
+        """Duration of iteration ``i``."""
+        return self.first_step if i == 0 else self.step
+
+    def start_of(self, i: int) -> float:
+        """Simulated time iteration ``i`` begins."""
+        return self.boundaries[i - 1] if i else self.start
 
 
 class ContinuousBatchingEngine:
@@ -247,6 +245,8 @@ class ContinuousBatchingEngine:
         self.running: List[_Sequence] = []
         self._idle: Optional[Event] = None
         self._window: Optional[_Window] = None
+        #: The last per-token iteration failed a KV growth (see _plan_window).
+        self._kv_short = False
         self._stopped = False
         self._draining = False
         self._loop = env.process(self._run())
@@ -312,7 +312,7 @@ class ContinuousBatchingEngine:
                 # The iteration in flight at stop time still occupies the GPU
                 # until its boundary (the per-token loop accounts it when its
                 # pending timeout fires).
-                self.stats.busy_time_s += window.step
+                self.stats.busy_time_s += window.step_of(window.done)
             window.closed = True
         self._stopped = True
         failed = 0
@@ -386,37 +386,44 @@ class ContinuousBatchingEngine:
             if batch > self.stats.peak_batch_size:
                 self.stats.peak_batch_size = batch
             step = self.perf.decode_step_time_s(batch)
+            first_step = step
             if prefill_tokens:
-                step += prefill_tokens / self.perf.prefill_tok_s
+                first_step += prefill_tokens / self.perf.prefill_tok_s
+            start = env.now
 
-            # Prefill extends only this iteration's duration, so any iteration
-            # that admitted work must step alone.
-            iters = 1 if prefill_tokens else self._plan_window(kv_blocked)
-            if iters <= 1:
-                yield env.timeout(step)
-                self.stats.busy_time_s += step
-                self._advance(step)
+            # Admission stopped by the prefill budget alone resumes at the
+            # next boundary, so that iteration runs alone.
+            budget_bound = bool(self.waiting and not kv_blocked
+                                and batch < self.config.max_num_seqs)
+            iters = self._plan_window(budget_bound)
+            if not iters:
+                end = start + first_step
+                yield env.timeout_at(end)
+                self.stats.busy_time_s += first_step
+                self._advance(start, end)
                 continue
 
-            # Macro-step: one kernel event covers ``iters`` iterations.  The
-            # boundary times are accumulated with the same float additions the
-            # per-token loop performs, so they replay bit-for-bit; np.cumsum
-            # (sequential add.accumulate) reproduces exactly that chain.
-            if _np is not None and iters >= self.config.vector_batch_crossover:
-                acc = _np.empty(iters + 1, dtype=_np.float64)
-                acc[0] = env.now
-                acc[1:] = step
-                boundaries = _np.cumsum(acc)[1:].tolist()
-            else:
-                boundaries = []
-                t = env.now
-                for _ in range(iters):
-                    t += step
-                    boundaries.append(t)
-            window = _Window(step, boundaries, kv_blocked)
+            # Macro-step: one kernel event covers ``iters`` iterations, the
+            # admission iteration (if any) first.  The boundary times are
+            # accumulated with the same float additions the per-token loop
+            # performs, so they replay bit-for-bit.
+            t = start + first_step
+            boundaries = [t]
+            for _ in range(iters - 1):
+                t += step
+                boundaries.append(t)
+            window = _Window(start, first_step, step, boundaries, kv_blocked)
+            if iters == 1:
+                # A newcomer waits for this boundary anyway, so there is
+                # nothing to split: run uninterrupted, like a per-token step.
+                # A stop() meanwhile empties the batch; only the busy time
+                # is then applied, as in the per-token loop.
+                yield env.timeout_at(t)
+                self._apply_iterations(window, 1)
+                continue
             self._window = window
             try:
-                yield env.timeout_at(boundaries[-1])
+                yield env.timeout_at(t)
             except Interrupt:
                 # A submission arrived mid-window: catch up to the boundaries
                 # already passed, then finish the in-flight iteration with an
@@ -427,15 +434,16 @@ class ContinuousBatchingEngine:
                 self._window = None
                 if not window.closed:
                     self._sync_window(window)
-                    if window.done < len(window.boundaries):
-                        yield env.timeout_at(window.boundaries[window.done])
-                        self.stats.busy_time_s += window.step
-                        self._advance(window.step)
+                    done = window.done
+                    if done < iters:
+                        yield env.timeout_at(boundaries[done])
+                        self.stats.busy_time_s += window.step_of(done)
+                        self._advance(window.start_of(done), boundaries[done])
                 continue
             if self._window is None:
                 continue  # stop() drained the window while we slept
             self._window = None
-            self._apply_iterations(window, len(window.boundaries))
+            self._apply_iterations(window, iters)
 
     def _admit(self) -> Tuple[int, bool]:
         """Move sequences from waiting to running.
@@ -461,7 +469,6 @@ class ContinuousBatchingEngine:
                 break
             waiting.popleft()
             seq.admit_time = self.env.now
-            seq.prefilled = True
             if seq.trace is not None:
                 self._trace_admit(seq)
             prefill_tokens += seq.request.prompt_tokens
@@ -469,47 +476,45 @@ class ContinuousBatchingEngine:
         return prefill_tokens, kv_blocked
 
     # -- macro-stepping ---------------------------------------------------------
-    def _plan_window(self, kv_blocked: bool) -> int:
-        """Number of iterations until the next possible state change.
+    def _plan_window(self, single: bool) -> int:
+        """Number of iterations, counting the current one, until the next
+        possible state change (just this one if ``single``), or 0 when the
+        iteration must take the exact per-token path.
 
-        A return value above 1 additionally guarantees (by probing the whole
-        window's KV growth via :meth:`KVCacheManager.can_grow_bulk`) that no
-        KV-pressure preemption can occur inside the window.  The probe does
-        not allocate: growth is applied by :meth:`_apply_iterations` only for
-        iterations that actually execute, so a window that is interrupted and
-        abandoned leaves the free-block pool in the exact per-token state.
+        A nonzero return value guarantees that no KV-pressure preemption can
+        occur inside the window: the O(1) block bound (see the module
+        docstring) or, when it fails, the exact probe
+        :meth:`KVCacheManager.can_grow_bulk`.  Neither allocates: growth is
+        applied by :meth:`_apply_iterations` only for iterations that
+        actually execute, so a window that is interrupted and abandoned
+        leaves the free-block pool in the exact per-token state.
         """
-        if not self.config.macro_stepping:
-            return 1
+        if not self.config.macro_stepping or self._kv_short:
+            # After a failed growth the needy sequence lacks its lookahead
+            # block; one per-token step grows it (or preempts again) and
+            # restores the allocation invariant windows rely on.
+            return 0
         running = self.running
+        iters = None
         for seq in running:
             channel = seq.stream_channel
             if channel is not None and channel.live:
                 # A live consumer observes per-token timing; keep exact
                 # events.  Channels nobody reads yet get their window's
                 # events in bulk from _apply_iterations instead.
-                return 1
-        if _np is not None and len(running) >= self.config.vector_batch_crossover:
-            remaining = _np.fromiter(
-                (seq.target_tokens - seq.generated for seq in running),
-                dtype=_np.int64,
-                count=len(running),
-            )
-            iters = int(remaining.min())
-        else:
-            iters = None
-            for seq in running:
-                remaining = seq.target_tokens - seq.generated
-                if iters is None or remaining < iters:
-                    iters = remaining
-            if iters is None:
-                return 1
-        if iters <= 1:
-            return 1
-        if not self.kv.can_grow_bulk(self._window_growth(iters)):
-            # KV pressure possible mid-window: the per-token path reproduces
-            # the original preemption semantics exactly.
-            return 1
+                return 0
+            remaining = seq.target_tokens - seq.generated
+            if iters is None or remaining < iters:
+                iters = remaining
+        if single:
+            iters = 1
+        kv = self.kv
+        per_seq = -(-(iters + 1) // kv.config.block_size)
+        if (len(running) * per_seq > kv.free_blocks
+                and not kv.can_grow_bulk(self._window_growth(iters))):
+            # KV pressure possible: the per-token path reproduces the
+            # original preemption semantics exactly.
+            return 0
         return iters
 
     def _window_growth(self, iters: int) -> List[Tuple[str, int]]:
@@ -519,26 +524,8 @@ class ContinuousBatchingEngine:
         iteration earlier (the per-token loop checks completion before
         growing), hence the missing one-token lookahead for them.
         """
-        running = self.running
-        if _np is not None and len(running) >= self.config.vector_batch_crossover:
-            count = len(running)
-            generated = _np.fromiter(
-                (seq.generated for seq in running), dtype=_np.int64, count=count
-            )
-            targets = _np.fromiter(
-                (seq.target_tokens for seq in running), dtype=_np.int64, count=count
-            )
-            prompts = _np.fromiter(
-                (seq.request.prompt_tokens for seq in running),
-                dtype=_np.int64,
-                count=count,
-            )
-            ends = (
-                prompts + generated + iters + (targets - generated != iters)
-            ).tolist()  # integer math: exact, so identical to the scalar loop
-            return [(seq.seq_id, ends[i]) for i, seq in enumerate(running)]
         growth = []
-        for seq in running:
+        for seq in self.running:
             lookahead = 0 if seq.target_tokens - seq.generated == iters else 1
             growth.append((seq.seq_id, seq.total_tokens + iters + lookahead))
         return growth
@@ -554,7 +541,8 @@ class ContinuousBatchingEngine:
         self._apply_iterations(window, upto)
 
     def _apply_iterations(self, window: _Window, upto: int) -> None:
-        """Bulk-apply window iterations ``window.done + 1 .. upto``.
+        """Bulk-apply window iterations ``window.done + 1 .. upto`` in one
+        pass over the batch.
 
         Completions are only possible at the final boundary (the window is
         sized to the earliest completion), so interior catch-ups are pure
@@ -566,68 +554,62 @@ class ContinuousBatchingEngine:
             return
         running = self.running
         stats = self.stats
+        boundaries = window.boundaries
         step = window.step
-        if _np is not None and n >= self.config.vector_batch_crossover:
-            # cumsum accumulates sequentially, so seeding the running total
-            # as element 0 replays the per-token additions bit-for-bit.
-            acc = _np.empty(n + 1, dtype=_np.float64)
-            acc[0] = stats.busy_time_s
-            acc[1:] = step
-            stats.busy_time_s = float(_np.cumsum(acc)[-1])
-        else:
-            for _ in range(n):  # same addition order as the per-token loop
-                stats.busy_time_s += step
+        for i in range(done, upto):  # same addition order as the per-token loop
+            stats.busy_time_s += step if i else window.first_step
         if window.kv_blocked:
             # The per-token loop re-attempts (and fails) the blocked head-of-
             # line admission at every interior boundary; mirror its failure
             # accounting.  The final boundary re-attempts in the next loop
             # iteration's _admit, so it is excluded here.
-            last_interior = len(window.boundaries) - 1
+            last_interior = len(boundaries) - 1
             retries = min(upto, last_interior) - min(done, last_interior)
             if retries > 0:
                 self.kv.allocation_failures += retries
-        if done == 0:
-            first_boundary = window.boundaries[0]
-            for seq in running:
-                if seq.first_token_time is None:
-                    seq.first_token_time = first_boundary
-                    self._trace_end(seq, "prefill", t=first_boundary)
+        start = window.start_of(done)
+        end = boundaries[upto - 1]
         profiler = self.env.profiler
         if profiler is not None:
-            profiler.on_window(n, step * n)
+            profiler.on_window(n, end - start)
+        first_token = boundaries[0]
+        block = self.kv.config.block_size
         growth = []
+        finished = []
         for seq in running:
             before = seq.generated
-            seq.generated += n
-            if seq.trace is not None:
-                self._trace_decode(seq, window.boundaries[done] - step,
-                                   window.boundaries[upto - 1], n)
-            if seq.stream_channel is not None and seq.generated > seq.streamed:
+            generated = before + n
+            seq.generated = generated
+            if seq.first_token_time is None:
+                # Admitted at the window start: its first token is the
+                # prefill's output at boundary 0, not a decode iteration.
+                seq.first_token_time = first_token
+                if seq.trace is not None:
+                    self._trace_end(seq, "prefill", t=first_token)
+                    if n > 1:
+                        self._trace_decode(seq, first_token, end, n - 1)
+            elif seq.trace is not None:
+                self._trace_decode(seq, start, end, n)
+            if seq.stream_channel is not None and generated > seq.streamed:
                 self._publish_window_tokens(seq, before, window, done)
-            if seq.generated < seq.target_tokens:
-                # Same one-token lookahead the per-token loop grows to after
-                # iteration ``upto``; sequences finishing here never grow in
-                # their final iteration and are freed right below.  Success is
-                # guaranteed by the window's can_grow_bulk probe.
-                growth.append((seq.seq_id, seq.total_tokens + 1))
+            if generated >= seq.target_tokens:
+                finished.append(seq)
+                continue
+            # Allocations cover total_tokens + 1 (see _plan_window), so only
+            # a sequence crossing a block boundary grows, to that lookahead.
+            prompt = seq.request.prompt_tokens
+            if (prompt + before) // block != (prompt + generated) // block:
+                growth.append((seq.seq_id, prompt + generated + 1))
         if growth:
             self.kv.grow_bulk(growth)
         stats.output_tokens += n * len(running)
         window.done = upto
-        if upto == len(window.boundaries):
-            self._complete_finished()
-
-    def _complete_finished(self) -> None:
-        """Complete every running sequence that reached its target tokens."""
-        running = self.running
-        finished = [seq for seq in running if seq.generated >= seq.target_tokens]
-        if not finished:
-            return
-        drop = set(finished)
-        self.running = [seq for seq in running if seq not in drop]
-        now = self.env.now
-        for seq in finished:
-            self._finish_sequence(seq, now)
+        if finished:
+            self.running = [seq for seq in running
+                            if seq.generated < seq.target_tokens]
+            now = self.env.now
+            for seq in finished:
+                self._finish_sequence(seq, now)
 
     def _finish_sequence(self, seq: _Sequence, now: float) -> None:
         """Release and succeed one completed sequence (already off ``running``)."""
@@ -672,9 +654,9 @@ class ContinuousBatchingEngine:
         trace.end_span(span, t=end)
 
     # -- per-token stepping -------------------------------------------------------
-    def _advance(self, step: float = 0.0) -> None:
-        """One token generated for every running sequence."""
-        now = self.env.now
+    def _advance(self, start: float, now: float) -> None:
+        """One token generated for every running sequence, in the iteration
+        from ``start`` to ``now``."""
         running = self.running
         stats = self.stats
         kv = self.kv
@@ -683,6 +665,7 @@ class ContinuousBatchingEngine:
         #: seed's ``seq not in self.running`` scans and in-place removals.
         inactive: Set[_Sequence] = set()
         finished: List[_Sequence] = []
+        short = False
         for seq in running:
             if seq in inactive:
                 # Preempted earlier in this same iteration by another
@@ -696,7 +679,7 @@ class ContinuousBatchingEngine:
                 seq.first_token_time = now
                 self._trace_end(seq, "prefill", t=now)
             elif seq.trace is not None:
-                self._trace_decode(seq, now - step, now, 1)
+                self._trace_decode(seq, start, now, 1)
             if seq.stream_channel is not None and seq.generated > seq.streamed:
                 self._publish_token(seq, now)
             if seq.generated >= seq.target_tokens:
@@ -705,7 +688,9 @@ class ContinuousBatchingEngine:
                 inactive.add(seq)
                 continue
             if not kv.grow(seq.seq_id, seq.total_tokens + 1):
+                short = True
                 self._handle_kv_pressure(seq, inactive)
+        self._kv_short = short
         if inactive:
             self.running = [seq for seq in running if seq not in inactive]
         for seq in finished:
@@ -771,7 +756,6 @@ class ContinuousBatchingEngine:
         self.stats.preempted += 1
         # The victim restarts from scratch (recompute preemption).
         victim.generated = 0
-        victim.prefilled = False
         victim.admit_time = None
         if victim.trace is not None:
             trace = victim.trace

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Tuple
 
 __all__ = ["KVCacheConfig", "KVCacheManager"]
 
@@ -104,17 +104,24 @@ class KVCacheManager:
         self._used_blocks += extra
         return True
 
-    def _bulk_extra_blocks(self, requirements) -> int:
-        """Extra blocks needed to grow every ``(seq_id, tokens)`` requirement."""
-        extra = 0
+    def _bulk_growth(self, requirements) -> Tuple[int, List[Tuple[str, int]]]:
+        """Extra blocks needed to grow every ``(seq_id, tokens)``
+        requirement, and the ``(seq_id, blocks)`` allocations that grow."""
         allocated = self._allocated
+        block_size = self.config.block_size
+        grown = []
+        extra = 0
         for seq_id, tokens in requirements:
             if seq_id not in allocated:
                 raise KeyError(f"Sequence {seq_id} has no allocation")
-            need = self.blocks_for(tokens) - allocated[seq_id]
-            if need > 0:
-                extra += need
-        return extra
+            # blocks_for(tokens) inlined for the macro-stepper's hot path (a
+            # negative count gives <= 0 blocks, which never grows either).
+            needed = -(-tokens // block_size)
+            current = allocated[seq_id]
+            if needed > current:
+                grown.append((seq_id, needed))
+                extra += needed - current
+        return extra, grown
 
     def can_grow_bulk(self, requirements) -> bool:
         """Whether every growth in ``requirements`` could be applied together.
@@ -128,28 +135,26 @@ class KVCacheManager:
         (the caller falls back to per-token stepping, whose individual
         :meth:`grow` calls keep the failure accounting of the non-bulk path).
         """
-        return self._bulk_extra_blocks(list(requirements)) <= self.free_blocks
+        return self._bulk_growth(requirements)[0] <= self.free_blocks
 
-    def grow_bulk(self, requirements) -> bool:
+    def grow_bulk(self, requirements) -> None:
         """Atomically grow several sequences' allocations.
 
         ``requirements`` is an iterable of ``(seq_id, new_total_tokens)``
-        pairs.  Either every growth is applied, or — if the combined extra
-        blocks exceed the free pool — nothing changes and ``False`` is
-        returned (without counting an allocation failure; see
-        :meth:`can_grow_bulk`).
+        pairs, one per sequence, that the caller has proven to fit (see
+        :meth:`can_grow_bulk`).  If they do not, nothing changes and a
+        :class:`RuntimeError` names the shortfall, rather than leaving
+        sequences under-allocated.
         """
-        requirements = list(requirements)
+        extra, grown = self._bulk_growth(requirements)
+        free = self.free_blocks
+        if extra > free:
+            raise RuntimeError(f"KV growth needs {extra} blocks but only {free} "
+                               f"are free (short by {extra - free})")
         allocated = self._allocated
-        if self._bulk_extra_blocks(requirements) > self.free_blocks:
-            return False
-        for seq_id, tokens in requirements:
-            needed = self.blocks_for(tokens)
-            current = allocated[seq_id]
-            if needed > current:
-                allocated[seq_id] = needed
-                self._used_blocks += needed - current
-        return True
+        for seq_id, needed in grown:
+            allocated[seq_id] = needed
+        self._used_blocks += extra
 
     def free(self, seq_id: str) -> None:
         """Release every block held by ``seq_id`` (no-op if unknown)."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import A100_40GB, dgx_a100_spec
+from repro.obs.trace import TRACE_KEY, TraceContext
 from repro.serving import (
     ContinuousBatchingEngine,
     EngineConfig,
@@ -42,8 +43,7 @@ def result_trace(result):
     return tuple(getattr(result, f) for f in RESULT_FIELDS)
 
 
-def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=256,
-                crossover=None):
+def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=256):
     perf = PerformanceModel(spec, tp, A100_40GB, node_spec=dgx_a100_spec())
     if kv_capacity is not None:
         class TinyKV(PerformanceModel):
@@ -52,17 +52,15 @@ def make_engine(env, macro, spec=SPEC_70B, tp=8, kv_capacity=None, max_num_seqs=
         perf = TinyKV(spec, tp, A100_40GB, node_spec=dgx_a100_spec())
     config = EngineConfig(generate_text=False, macro_stepping=macro,
                           max_num_seqs=max_num_seqs)
-    if crossover is not None:
-        config.vector_batch_crossover = crossover
     return ContinuousBatchingEngine(env, perf, config)
 
 
 def run_trace(macro, requests, offsets, kv_capacity=None, stream_indices=(),
-              stop_at=None, drain_at=None, max_num_seqs=256, crossover=None):
+              stop_at=None, drain_at=None, max_num_seqs=256):
     """Drive one engine over a timed workload; returns the full golden trace."""
     env = Environment()
     engine = make_engine(env, macro, kv_capacity=kv_capacity,
-                         max_num_seqs=max_num_seqs, crossover=crossover)
+                         max_num_seqs=max_num_seqs)
     stream_events = {}
     events = []
 
@@ -241,6 +239,22 @@ def test_interrupted_window_releases_unexecuted_kv_reservation():
     assert macro == golden
 
 
+def test_no_window_right_after_a_failed_kv_growth():
+    """A sequence whose growth failed (and forced a preemption) is a block
+    short of its one-token lookahead until its next per-token step.  A
+    window planned right then could trust the O(1) block bound, or skip
+    that sequence's growth because it crosses no block boundary, and the
+    KV pool, with every later admission and preemption, would drift from
+    the reference engine."""
+    lengths = [(163, 99), (274, 82), (230, 65), (214, 71), (86, 90),
+               (203, 90), (200, 26), (254, 36), (185, 20), (133, 73)]
+    offsets = [0.0] * len(lengths)
+    golden = run_trace(False, fresh_requests(lengths), offsets, kv_capacity=2044)
+    macro = run_trace(True, fresh_requests(lengths), offsets, kv_capacity=2044)
+    assert golden["preemptions"] > 0
+    assert macro == golden
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     lengths=st.lists(
@@ -394,29 +408,39 @@ def test_unconsumed_stream_macro_steps_with_identical_events():
     assert macro_steps * 5 < ref_steps
 
 
-@pytest.mark.parametrize("crossover", [1, 10**9])
-def test_vectorized_planning_is_bit_identical_across_crossover(crossover):
-    """Forcing the numpy path on (crossover=1) or off (crossover=huge) must
-    not perturb a single timing relative to the per-token reference — the
-    scenario's batch widths span the default crossover from both sides."""
-    workload = ShareGPTWorkload()
-    offsets = PoissonArrival(rate=6.0, seed=17).offsets(80)
-    golden = run_trace(False, workload.generate(SPEC_70B.name, num_requests=80),
-                       offsets)
-    vec = run_trace(True, workload.generate(SPEC_70B.name, num_requests=80),
-                    offsets, crossover=crossover)
-    assert vec == golden
+@pytest.mark.parametrize("macro", [True, False], ids=["macro", "per-token"])
+def test_request_admitted_into_running_batch_traces_each_token_once(macro):
+    """A request admitted while a batch is decoding: its prefill span ends at
+    its first token, and its decode windows count every later token once,
+    tile the time from the first token to completion without gaps, and end
+    at completion.  Under macro-stepping the admission iteration opens the
+    newcomer's window, so the window must not also count the prefill token."""
+    env = Environment()
+    engine = make_engine(env, macro)
+    for i in range(3):
+        engine.submit(InferenceRequest(f"tr-{i}", SPEC_70B.name, prompt_tokens=100,
+                                       max_output_tokens=300))
+    trace = TraceContext("trace-late", env, sampled=True)
+    late = InferenceRequest("tr-late", SPEC_70B.name, prompt_tokens=200,
+                            max_output_tokens=120)
+    late.metadata[TRACE_KEY] = trace
+    submitted = []
 
+    def submit_late(env):
+        yield env.timeout(2.0)  # mid-window for the macro engine
+        submitted.append(engine.submit(late))
 
-def test_macro_stepping_without_numpy_is_bit_identical(monkeypatch):
-    """The scalar fallback (numpy absent) replays the reference exactly."""
-    import repro.serving.engine as engine_mod
-
-    workload = ShareGPTWorkload()
-    offsets = PoissonArrival(rate=6.0, seed=19).offsets(60)
-    golden = run_trace(False, workload.generate(SPEC_70B.name, num_requests=60),
-                       offsets)
-    monkeypatch.setattr(engine_mod, "_np", None)
-    macro = run_trace(True, workload.generate(SPEC_70B.name, num_requests=60),
-                      offsets)
-    assert macro == golden
+    env.process(submit_late(env))
+    env.run()
+    result = submitted[0].value
+    assert result.success and result.output_tokens == 120
+    (prefill,) = trace.find_spans("engine.prefill")
+    assert prefill.end == result.first_token_time
+    windows = sorted(trace.find_spans("engine.decode_window"), key=lambda s: s.start)
+    assert sum(w.attrs["iterations"] for w in windows) == result.output_tokens - 1
+    assert windows[0].start == result.first_token_time
+    for before, after in zip(windows, windows[1:]):
+        assert after.start == before.end
+    assert windows[-1].end == result.completion_time
+    if macro:
+        assert len(windows) < result.output_tokens - 1  # it did macro-step

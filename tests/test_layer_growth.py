@@ -14,8 +14,13 @@ per request grows with history (a scan over every record ever kept, say)
 shows up as a ratio near 2, while linear layers sit at 1.00 within edge
 effects.
 
-Beside the gate, a budget on kernel events per streamed output token: a
-delivered token should cost the kernel one timer, not a process.
+Beside the gate, two budgets: kernel events per streamed output token (a
+delivered token should cost the kernel one timer, not a process), and
+``repro.serving`` calls per request on an all-at-once burst into one engine
+(a macro window should cost one pass over the batch, not a call per
+sequence).  The burst gets a budget rather than a growth check: its fill
+and drain phases, when the batch is partly empty, do not scale with N, so
+its cost per request is not flat in N by construction.
 """
 
 import cProfile
@@ -26,8 +31,16 @@ import pstats
 import pytest
 
 from repro.analysis.detsan import federated_deployment
+from repro.cluster import A100_40GB, dgx_a100_spec
 from repro.core import FIRSTDeployment, sophia_benchmark_config
 from repro.obs import KernelProfiler
+from repro.serving import (
+    ContinuousBatchingEngine,
+    EngineConfig,
+    PerformanceModel,
+    default_catalog,
+)
+from repro.sim import Environment
 from repro.workload import BenchmarkClient, PoissonArrival, ShareGPTWorkload
 
 N = 300
@@ -37,6 +50,13 @@ MAX_GROWTH = 1.05
 #: gateway forwarder measured 4.51, a delivery timer feeding that pulling
 #: forwarder 2.48, and a delivery timer pushing into the forwarder 1.46.
 MAX_EVENTS_PER_STREAMED_TOKEN = 2.0
+#: Requests in the engine-cell burst.
+ENGINE_BURST = 600
+#: ``repro.serving`` calls per request on that burst.  Per-token admission
+#: iterations and a multi-pass window planner measured 980 (996 at 1,200
+#: requests); one pass per window, with single iterations also taking the
+#: window path, 24.1 (23.8).
+MAX_ENGINE_SERVING_CALLS_PER_REQUEST = 500
 
 _MARK = os.sep + "repro" + os.sep
 
@@ -78,25 +98,54 @@ def prepare(scenario, n):
     return deployment, lambda: bench.run(requests, arrival=PoissonArrival(rate=4.0))
 
 
-def calls_per_request(scenario, n):
-    """Profiled calls per request, by layer, for ``n`` chats of ``scenario``,
-    plus the tasks each endpoint executed."""
-    deployment, traffic = prepare(scenario, n)
+def profile_layers(run, n):
+    """Calls per request, by layer, while ``run()`` serves ``n`` requests."""
     # Collect earlier runs' garbage now: generator finalizers of a dropped
     # deployment must not be billed to this one.
     gc.collect()
     profiler = cProfile.Profile()
     profiler.enable()
-    proc = deployment.env.process(traffic())
-    summary = deployment.env.run(until=proc)
+    run()
     profiler.disable()
-    assert summary.num_successful == n
     layers = {}
     for (filename, _line, _func), (_cc, calls, *_rest) in pstats.Stats(profiler).stats.items():
         layer = layer_of(filename)
         layers[layer] = layers.get(layer, 0) + calls
+    return {layer: calls / n for layer, calls in layers.items()}
+
+
+def calls_per_request(scenario, n):
+    """Profiled calls per request, by layer, for ``n`` chats of ``scenario``,
+    plus the tasks each endpoint executed."""
+    deployment, traffic = prepare(scenario, n)
+    summaries = []
+
+    def run():
+        summaries.append(deployment.env.run(until=deployment.env.process(traffic())))
+
+    layers = profile_layers(run, n)
+    assert summaries[0].num_successful == n
     executed = {eid: ep.tasks_executed for eid, ep in deployment.endpoints.items()}
-    return {layer: calls / n for layer, calls in layers.items()}, executed
+    return layers, executed
+
+
+def engine_burst_calls_per_request(n):
+    """Profiled calls per request, by layer, for ``n`` ShareGPT requests
+    submitted at once to one 70B TP-8 engine."""
+    env = Environment()
+    spec = default_catalog().get("Llama-3.3-70B")
+    perf = PerformanceModel(spec, 8, A100_40GB, node_spec=dgx_a100_spec())
+    engine = ContinuousBatchingEngine(env, perf, EngineConfig(generate_text=False))
+    requests = ShareGPTWorkload().generate(spec.name, num_requests=n)
+    events = []
+
+    def run():
+        events.extend(engine.submit(request) for request in requests)
+        env.run(until=env.all_of(events))
+
+    layers = profile_layers(run, n)
+    assert all(event.value.success for event in events)
+    return layers
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -123,3 +172,10 @@ def test_streamed_token_costs_a_bounded_number_of_kernel_events():
     per_token = profiler.events_total / summary.total_output_tokens
     assert per_token <= MAX_EVENTS_PER_STREAMED_TOKEN, (
         f"{per_token:.2f} kernel events per streamed token")
+
+
+def test_engine_burst_serving_calls_per_request_stay_within_budget():
+    engine_burst_calls_per_request(ENGINE_BURST // 6)  # warm-up
+    serving = engine_burst_calls_per_request(ENGINE_BURST)["serving"]
+    assert serving <= MAX_ENGINE_SERVING_CALLS_PER_REQUEST, (
+        f"{serving:.0f} repro.serving calls per request on the engine burst")

@@ -81,6 +81,20 @@ def test_grow_fails_when_pool_exhausted():
     assert mgr.allocation_failures == 1
 
 
+def test_grow_bulk_past_the_free_pool_raises_and_changes_nothing():
+    mgr = make_manager(capacity_tokens=160)  # 10 blocks
+    mgr.allocate("a", 32)
+    mgr.allocate("b", 32)
+    mgr.grow_bulk([("a", 48), ("b", 40)])  # within the pool: +1 block each
+    assert mgr.used_blocks == 6
+    with pytest.raises(RuntimeError, match=r"needs 6 blocks but only 4 are free \(short by 2\)"):
+        mgr.grow_bulk([("a", 96), ("b", 96)])
+    assert mgr.used_blocks == 6  # atomic: neither sequence grew
+    assert mgr.allocation_failures == 0
+    assert mgr.grow("a", 96)  # the per-sequence blocks are unchanged too
+    assert mgr.used_blocks == 9
+
+
 def test_preempt_tracks_counter():
     mgr = make_manager()
     mgr.allocate("a", 32)
