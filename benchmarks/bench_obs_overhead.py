@@ -29,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -101,6 +102,10 @@ def run_mode(observability, num_requests: int, rate: float) -> dict:
         yield env.all_of(result_events)
 
     proc = env.process(driver(env))
+    # Collect the previous mode's dead deployment now: a full collection
+    # landing inside the timed run bills that garbage to whichever mode it
+    # happens to hit, and would swamp the overhead being measured.
+    gc.collect()
     wall_start = time.perf_counter()
     env.run(until=proc)
     wall_s = time.perf_counter() - wall_start

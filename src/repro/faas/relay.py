@@ -254,8 +254,8 @@ class RelayService:
                                     layer="relay",
                                     attrs={"task_id": record.task_id,
                                            "endpoint": record.endpoint_id})
-        yield self.env.timeout(cfg.submit_latency_s)
-        yield self.env.timeout(cfg.dispatch_latency_s)
+        # Submit + dispatch as one timer, at the exact float sum two timeouts reach.
+        yield self.env.timeout_at((self.env.now + cfg.submit_latency_s) + cfg.dispatch_latency_s)
         record.status = TaskStatus.DISPATCHED
         record.dispatch_time = self.env.now
 

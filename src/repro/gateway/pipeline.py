@@ -16,7 +16,9 @@ simulation generator: it may read/write the :class:`RequestContext`, spend
 simulated time, raise a typed error (mapped to an envelope at the edge), or
 *not* call ``call_next`` to short-circuit the rest of the chain (response
 cache hits).  Code after ``yield from call_next(ctx)`` runs while the chain
-unwinds, which is how accounting observes the final result.
+unwinds, which is how accounting observes the final result.  ``call_next``
+returns the next stage's generator itself (span-wrapped only when traced), so
+a request's wake-up crosses one generator frame per stage.
 
 Deployments customise the chain without touching ``InferenceGatewayAPI``:
 ``GatewayConfig.middleware_factories`` holds a list of callables that take
@@ -79,32 +81,34 @@ class GatewayPipeline:
         self.middlewares: List[Middleware] = list(middlewares)
 
     def run(self, ctx: RequestContext):
-        """Simulation process: drive ``ctx`` through every stage."""
-        yield from self._call(0, ctx)
+        """The generator driving ``ctx`` through every stage (``yield from`` it)."""
+        return self._call(0, ctx)
 
     def _call(self, index: int, ctx: RequestContext):
+        """Stage ``index``'s own ``process`` generator, wrapped by :meth:`_spanned` if traced."""
         if index >= len(self.middlewares):
-            return
+            return iter(())
         middleware = self.middlewares[index]
         ctx.trace.append(middleware.name)
 
         def call_next(c: RequestContext):
             return self._call(index + 1, c)
 
-        tctx = ctx.trace_context
-        if tctx is None:
-            yield from middleware.process(ctx, call_next)
-            return
+        stage = middleware.process(ctx, call_next)
+        if ctx.trace_context is None:
+            return stage
+        return self._spanned(middleware.name, ctx.trace_context, stage)
+
+    def _spanned(self, name: str, tctx, stage):
         # Span per stage.  Stages nest (each runs the rest of the chain from
         # inside its own process), so the previous stage's span is this one's
         # parent; `current` is restored on unwind so post-order code (cache
         # fill, accounting) is attributed to its own stage.
         prev = tctx.current
-        span = tctx.start_span(f"gateway.stage.{middleware.name}",
-                               parent=prev, layer="gateway")
+        span = tctx.start_span(f"gateway.stage.{name}", parent=prev, layer="gateway")
         tctx.current = span
         try:
-            yield from middleware.process(ctx, call_next)
+            yield from stage
         except Exception as exc:
             span.status = f"error:{type(exc).__name__}"
             raise

@@ -135,16 +135,17 @@ class ObservabilityMiddleware(Middleware):
     def process(self, ctx, call_next):
         layer = self.layer
         if not layer.config.enabled:
-            yield from call_next(ctx)
-            return
-        request = ctx.request
-        tctx = layer.tracer.begin(request.request_id)
+            return call_next(ctx)
+        tctx = layer.tracer.begin(ctx.request.request_id)
         if not tctx.recording:
             # The trace has no path to retention: record metrics only, keep
             # the span machinery (and the downstream layers) untouched.
-            yield from self._metrics_only(ctx, call_next)
-            layer.tracer.finish(tctx)
-            return
+            return self._metrics_only(ctx, call_next, tctx)
+        return self._traced(ctx, call_next, tctx)
+
+    def _traced(self, ctx, call_next, tctx):
+        layer = self.layer
+        request = ctx.request
         ctx.trace_context = tctx
         # The trace rides the request's own metadata downstream (relay →
         # endpoint → engine), the same way the stream channel travels.
@@ -172,7 +173,7 @@ class ObservabilityMiddleware(Middleware):
             request.metadata.pop(TRACE_KEY, None)
             layer.tracer.finish(tctx)
 
-    def _metrics_only(self, ctx, call_next):
+    def _metrics_only(self, ctx, call_next, tctx):
         """The unretained-trace fast path: RED metrics, no spans."""
         self.layer.in_flight.inc()
         outcome = "exception"
@@ -181,6 +182,7 @@ class ObservabilityMiddleware(Middleware):
             outcome = self._record_result(ctx)
         finally:
             self._record_finish(ctx, outcome)
+        self.layer.tracer.finish(tctx)
 
     def _record_result(self, ctx) -> str:
         """Classify the finished pipeline run; counts tokens on success."""

@@ -223,8 +223,9 @@ class _InterruptEvent(Event):
 class Process(Event):
     """A process: a generator driven by the events it yields.
 
-    The process itself is an event that triggers when the generator returns
-    (with the returned value) or raises (with the exception).
+    The process is itself an event, triggered with the generator's return value
+    or exception.  Its end enters the kernel queue only when awaited or failed;
+    an unwatched success is processed on the spot (later waiters read it there).
     """
 
     __slots__ = ("_generator", "_target")
@@ -284,7 +285,10 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.args[0] if exc.args else None
-                env.schedule(self)
+                if self.callbacks:
+                    env.schedule(self)
+                else:
+                    self.callbacks = None
                 break
             except BaseException as exc:
                 self._ok = False

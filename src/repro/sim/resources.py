@@ -47,13 +47,13 @@ class Request(Event):
 
 
 class Release(Event):
-    """Event representing the release of a resource slot (triggers immediately)."""
+    """A slot release: immediate and never awaited, so it is created processed and never queued."""
 
     def __init__(self, resource: "Resource", request: Request):
         super().__init__(resource._env)
         self.resource = resource
         self.request = request
-        self.succeed()
+        self._value = self.callbacks = None
 
 
 class Resource:

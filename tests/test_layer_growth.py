@@ -14,8 +14,10 @@ per request grows with history (a scan over every record ever kept, say)
 shows up as a ratio near 2, while linear layers sit at 1.00 within edge
 effects.
 
-Beside the gate, two budgets: kernel events per streamed output token (a
-delivered token should cost the kernel one timer, not a process), and
+Beside the gate, three budgets: kernel events per non-streamed request
+(a release or an unwatched process end should not cost the kernel an
+event), kernel events per streamed output token (a delivered token should
+cost the kernel one timer, not a process), and
 ``repro.serving`` calls per request on an all-at-once burst into one engine
 (a macro window should cost one pass over the batch, not a call per
 sequence).  The burst gets a budget rather than a growth check: its fill
@@ -48,8 +50,16 @@ MAX_GROWTH = 1.05
 #: Kernel events per output token on the streamed scenario at N, all events
 #: of the run counted.  A per-token delivery process feeding a pulling
 #: gateway forwarder measured 4.51, a delivery timer feeding that pulling
-#: forwarder 2.48, and a delivery timer pushing into the forwarder 1.46.
-MAX_EVENTS_PER_STREAMED_TOKEN = 2.0
+#: forwarder 2.48, and a delivery timer pushing into the forwarder 1.46
+#: (1.465).  Keeping releases and unwatched process ends out of the kernel,
+#: and one relay timer for submit + dispatch, measured 1.401.
+MAX_EVENTS_PER_STREAMED_TOKEN = 1.45
+#: Kernel events per request on the non-streamed single-cluster scenario at
+#: N, all events of the run counted.  Every resource release and process
+#: end in the kernel queue, and two relay timers for submit + dispatch,
+#: measured 42.9; releases and unwatched process ends kept out of the
+#: kernel, with one relay timer, 30.9.
+MAX_EVENTS_PER_REQUEST = 32
 #: Requests in the engine-cell burst.
 ENGINE_BURST = 600
 #: ``repro.serving`` calls per request on that burst.  Per-token admission
@@ -161,15 +171,29 @@ def test_every_layer_cost_per_request_is_flat_in_request_count(scenario):
     assert not grown, f"calls/request grow with request count: {grown}"
 
 
-def test_streamed_token_costs_a_bounded_number_of_kernel_events():
-    deployment, traffic = prepare("streamed", N)
+def kernel_events(scenario, n):
+    """The deployment, run summary and kernel event count of ``n`` chats of
+    ``scenario``."""
+    deployment, traffic = prepare(scenario, n)
     profiler = KernelProfiler()
     deployment.env.attach_profiler(profiler)
     summary = deployment.env.run(until=deployment.env.process(traffic()))
     deployment.env.detach_profiler()
-    assert summary.num_successful == N
+    assert summary.num_successful == n
+    return deployment, summary, profiler.events_total
+
+
+def test_non_streamed_request_costs_a_bounded_number_of_kernel_events():
+    _, _, events = kernel_events("single-cluster", N)
+    per_request = events / N
+    assert per_request <= MAX_EVENTS_PER_REQUEST, (
+        f"{per_request:.2f} kernel events per non-streamed request")
+
+
+def test_streamed_token_costs_a_bounded_number_of_kernel_events():
+    deployment, summary, events = kernel_events("streamed", N)
     assert deployment.gateway.last_context.gateway_token_times  # it did stream
-    per_token = profiler.events_total / summary.total_output_tokens
+    per_token = events / summary.total_output_tokens
     assert per_token <= MAX_EVENTS_PER_STREAMED_TOKEN, (
         f"{per_token:.2f} kernel events per streamed token")
 

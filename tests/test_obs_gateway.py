@@ -190,6 +190,34 @@ def test_perfetto_export(traced_request):
         client.get_trace_perfetto("no-such-trace")
 
 
+# -- failing stage --------------------------------------------------------------
+
+def test_failing_stage_span_records_the_error_and_every_span_closes():
+    """An invalid token fails the auth stage of a traced request: its span
+    carries the error status, every opened span is closed on unwind, the root
+    records the failure, and the caller still gets the typed envelope."""
+    deployment = obs_deployment(ObservabilityConfig())
+    deployment.warm_up(MODEL)
+    body = {"model": MODEL, "messages": [{"role": "user", "content": "hi"}],
+            "max_tokens": 8}
+    proc = deployment.env.process(
+        deployment.gateway.chat_completions("not-a-token", body))
+    envelope = deployment.env.run(until=proc)
+    assert envelope["error"]["type"] == "authentication_error"
+
+    (trace_id,) = deployment.observability.tracer.trace_ids()
+    spans = deployment.gateway.get_trace(trace_id)["spans"]
+    by_name = _index(spans)
+    stages = [s["name"] for s in spans if s["name"].startswith("gateway.stage.")]
+    assert stages == ["gateway.stage.validation", "gateway.stage.auth"]
+    assert by_name["gateway.stage.auth"]["status"] == "error:AuthenticationError"
+    for span in spans:
+        assert span["end"] is not None, f"unclosed span {span['name']}"
+    root = by_name["gateway.request"]
+    assert root["status"] == "error:AuthenticationError"
+    assert root["attrs"]["outcome"] == "exception"
+
+
 # -- bit-identity ---------------------------------------------------------------
 
 def _workload_signature(observability):

@@ -543,3 +543,64 @@ def test_queue_size_counts_urgent_fast_lane():
     assert env.queue_size == 1  # the Initialize event sits in the fast lane
     env.run()
     assert env.queue_size == 0
+
+
+# -- process ends: only watched or failed ends enter the kernel -----------------
+
+def _returns_after(env, delay, value):
+    yield env.timeout(delay)
+    return value
+
+
+def test_unwatched_process_end_stays_out_of_the_queue():
+    env = Environment()
+    proc = env.process(_returns_after(env, 1.0, "v"))
+    env.step()  # start: the process now waits on its timeout
+    assert env.queue_size == 1
+    env.step()  # the timeout resumes it and it returns with nobody waiting
+    assert env.queue_size == 0
+    assert proc.processed and proc.ok and proc.value == "v"
+
+
+def test_finished_unwatched_process_value_reaches_later_waiters():
+    env = Environment()
+    child = env.process(_returns_after(env, 1.0, "v"))
+
+    def parent(env):
+        yield env.timeout(2.0)
+        got = yield child
+        both = yield env.all_of([child])
+        return got, both[child], env.now
+
+    p = env.process(parent(env))
+    assert env.run(until=p) == ("v", "v", 2.0)
+    assert env.run(until=child) == "v"
+
+
+def test_watched_process_end_resumes_waiter_through_the_kernel():
+    env = Environment()
+
+    def parent(env):
+        got = yield env.process(_returns_after(env, 1.5, "v"))
+        return got, env.now
+
+    p = env.process(parent(env))
+    env.step()  # parent starts the child and waits on it
+    env.step()  # child starts
+    env.step()  # child's timeout: it returns while the parent waits
+    assert env.queue_size == 1  # the end event, queued for its waiter
+    env.run()
+    assert p.value == ("v", 1.5)
+
+
+def test_unwatched_failed_process_still_aborts_run():
+    env = Environment()
+
+    def child(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    proc = env.process(child(env))
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+    assert not proc.ok

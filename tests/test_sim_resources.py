@@ -86,6 +86,29 @@ def test_resource_release_of_queued_request_withdraws_it():
     assert ("third-start", 10.0) in order
 
 
+def test_release_is_processed_on_creation_and_stays_out_of_the_queue():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    held = res.request()
+    waiting = res.request()
+    env.run()  # grant the first request
+    assert env.queue_size == 0
+    release = res.release(held)
+    assert release.processed and release.ok and release.value is None
+    assert env.queue_size == 1  # only the waiter's grant was queued
+    env.run()
+    assert waiting.processed and res.users == [waiting]
+
+    def holder(env):
+        yield res.release(waiting)  # continues at once, no kernel step
+        return env.now
+
+    proc = env.process(holder(env))
+    env.step()
+    assert proc.processed and proc.value == env.now
+    assert env.queue_size == 0
+
+
 def test_resource_resize_grants_waiters():
     env = Environment()
     res = Resource(env, capacity=1)
